@@ -285,26 +285,33 @@ func marshalPrefixes(prefixes []Prefix) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// parsePrefixes decodes an NLRI-format prefix list. A first pass over the
-// length bytes counts the entries so the result is allocated once at exact
-// size — prefix lists dominate table-transfer parsing, and append-growing
-// a slice of 4096-byte messages' worth of prefixes resized several times
-// per message.
-func parsePrefixes(data []byte) ([]Prefix, error) {
+// countPrefixes validates an NLRI-format prefix list — every length at
+// most 32, every address byte present — and returns its entry count. It is
+// the one definition of a well-formed prefix list, shared by Parse and
+// WalkUpdates.
+func countPrefixes(data []byte) (int, error) {
 	count := 0
 	for rest := data; len(rest) > 0; count++ {
 		bits := int(rest[0])
 		if bits > 32 {
-			return nil, fmt.Errorf("%w: prefix length %d", ErrBadMessage, bits)
+			return 0, fmt.Errorf("%w: prefix length %d", ErrBadMessage, bits)
 		}
 		nbytes := (bits + 7) / 8
 		if len(rest) < 1+nbytes {
-			return nil, fmt.Errorf("%w: prefix bytes", ErrTruncated)
+			return 0, fmt.Errorf("%w: prefix bytes", ErrTruncated)
 		}
 		rest = rest[1+nbytes:]
 	}
+	return count, nil
+}
+
+// decodePrefixes decodes a prefix list countPrefixes accepted with count
+// entries. Counting first allocates the result once at exact size — prefix
+// lists dominate table-transfer parsing, and append-growing a slice of
+// 4096-byte messages' worth of prefixes resized several times per message.
+func decodePrefixes(data []byte, count int) []Prefix {
 	if count == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]Prefix, 0, count)
 	for len(data) > 0 {
@@ -316,71 +323,159 @@ func parsePrefixes(data []byte) ([]Prefix, error) {
 		out = append(out, p.Masked())
 		data = data[1+nbytes:]
 	}
-	return out, nil
+	return out
 }
 
 // PrefixWireLen returns the NLRI encoding size of one prefix.
 func PrefixWireLen(p Prefix) int { return 1 + (p.Bits()+7)/8 }
 
-// Parse decodes one message from data, which must contain exactly one whole
-// message (as produced by SplitStream or read from MRT).
-func Parse(data []byte) (Message, error) {
+// PrefixKey packs an IPv4 prefix losslessly into a uint64 — the length in
+// the high word, the big-endian address in the low — which hashes several
+// times faster than the 24-byte netip.Prefix. ok is false for anything else
+// (IPv6, IPv4-mapped IPv6, an invalid prefix). Keys stay below 1<<38.
+func PrefixKey(p Prefix) (key uint64, ok bool) {
+	a := p.Addr()
+	if !a.Is4() || p.Bits() < 0 {
+		return 0, false
+	}
+	a4 := a.As4()
+	return uint64(p.Bits())<<32 | uint64(binary.BigEndian.Uint32(a4[:])), true
+}
+
+// AppendNLRIKeys appends the PrefixKey of every prefix in nlri, masked to
+// its length exactly as Parse masks the prefixes it returns. nlri must be a
+// prefix list Parse or WalkUpdates accepted.
+func AppendNLRIKeys(dst []uint64, nlri []byte) []uint64 {
+	for len(nlri) > 0 {
+		bits := int(nlri[0])
+		nbytes := (bits + 7) / 8
+		var addr uint32
+		for i := 1; i <= nbytes; i++ {
+			addr |= uint32(nlri[i]) << (32 - 8*i)
+		}
+		addr &^= ^uint32(0) >> bits
+		dst = append(dst, uint64(bits)<<32|uint64(addr))
+		nlri = nlri[1+nbytes:]
+	}
+	return dst
+}
+
+// checkMessage validates data as exactly one whole message the way Parse
+// does — header, type, and the fixed body sizes of OPEN, NOTIFICATION and
+// KEEPALIVE — and returns its type and body. UPDATE bodies are validated by
+// scanUpdate.
+func checkMessage(data []byte) (uint8, []byte, error) {
 	if len(data) < HeaderLen {
-		return nil, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(data))
+		return 0, nil, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(data))
 	}
 	for i := 0; i < markerLen; i++ {
 		if data[i] != 0xFF {
-			return nil, ErrBadMarker
+			return 0, nil, ErrBadMarker
 		}
 	}
 	length := int(binary.BigEndian.Uint16(data[16:18]))
 	if length < HeaderLen || length > MaxMessageLen {
-		return nil, fmt.Errorf("%w: %d", ErrBadLength, length)
+		return 0, nil, fmt.Errorf("%w: %d", ErrBadLength, length)
 	}
 	if length != len(data) {
-		return nil, fmt.Errorf("%w: declared %d, have %d", ErrBadLength, length, len(data))
+		return 0, nil, fmt.Errorf("%w: declared %d, have %d", ErrBadLength, length, len(data))
 	}
-	body := data[HeaderLen:]
-	switch data[18] {
+	typ, body := data[18], data[HeaderLen:]
+	switch typ {
 	case TypeOpen:
-		return parseOpen(body)
+		if len(body) < 10 {
+			return 0, nil, fmt.Errorf("%w: OPEN body %d bytes", ErrTruncated, len(body))
+		}
 	case TypeUpdate:
-		return parseUpdate(body)
 	case TypeNotification:
 		if len(body) < 2 {
-			return nil, fmt.Errorf("%w: notification body", ErrTruncated)
+			return 0, nil, fmt.Errorf("%w: notification body", ErrTruncated)
 		}
-		return &Notification{Code: body[0], Subcode: body[1], Data: append([]byte(nil), body[2:]...)}, nil
 	case TypeKeepalive:
 		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: keepalive with body", ErrBadMessage)
+			return 0, nil, fmt.Errorf("%w: keepalive with body", ErrBadMessage)
 		}
-		return &Keepalive{}, nil
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, data[18])
+		return 0, nil, fmt.Errorf("%w: %d", ErrBadType, typ)
+	}
+	return typ, body, nil
+}
+
+// Parse decodes one message from data, which must contain exactly one whole
+// message (as produced by SplitStream or read from MRT).
+func Parse(data []byte) (Message, error) {
+	typ, body, err := checkMessage(data)
+	if err != nil {
+		return nil, err
+	}
+	switch typ {
+	case TypeOpen:
+		return &Open{
+			Version:    body[0],
+			AS:         binary.BigEndian.Uint16(body[1:3]),
+			HoldTime:   binary.BigEndian.Uint16(body[3:5]),
+			Identifier: netip.AddrFrom4([4]byte(body[5:9])),
+		}, nil
+	case TypeUpdate:
+		u, err := parseUpdate(body)
+		if err != nil {
+			return nil, err
+		}
+		return u, nil
+	case TypeNotification:
+		return &Notification{Code: body[0], Subcode: body[1], Data: append([]byte(nil), body[2:]...)}, nil
+	default:
+		return &Keepalive{}, nil
 	}
 }
 
-func parseOpen(body []byte) (*Open, error) {
-	if len(body) < 10 {
-		return nil, fmt.Errorf("%w: OPEN body %d bytes", ErrTruncated, len(body))
-	}
-	return &Open{
-		Version:    body[0],
-		AS:         binary.BigEndian.Uint16(body[1:3]),
-		HoldTime:   binary.BigEndian.Uint16(body[3:5]),
-		Identifier: netip.AddrFrom4([4]byte(body[5:9])),
-	}, nil
+// updateSections locates the parts of a validated UPDATE body.
+type updateSections struct {
+	withdrawn, nlri   []byte
+	nWithdrawn, nNLRI int
+	hasAttrs          bool
 }
 
-func parseUpdate(body []byte) (*Update, error) {
+// scanUpdate validates an UPDATE body in wire order — the withdrawn routes,
+// the path attributes, the NLRI — returning the first error Parse reports
+// for it, locates its sections in s, and decodes the path attributes into a
+// when a is non-nil. It is the one definition of a well-formed UPDATE,
+// shared by Parse and WalkUpdates.
+func scanUpdate(body []byte, s *updateSections, a *PathAttrs) error {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
+		return fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
 	}
 	wdLen := int(binary.BigEndian.Uint16(body[0:2]))
 	if 2+wdLen+2 > len(body) {
-		return nil, fmt.Errorf("%w: withdrawn length %d", ErrBadLength, wdLen)
+		return fmt.Errorf("%w: withdrawn length %d", ErrBadLength, wdLen)
 	}
+	var err error
+	s.withdrawn = body[2 : 2+wdLen]
+	if s.nWithdrawn, err = countPrefixes(s.withdrawn); err != nil {
+		return err
+	}
+	rest := body[2+wdLen:]
+	attrLen := int(binary.BigEndian.Uint16(rest[0:2]))
+	if 2+attrLen > len(rest) {
+		return fmt.Errorf("%w: attribute length %d", ErrBadLength, attrLen)
+	}
+	if attrLen > 0 {
+		if err := parseAttrs(rest[2:2+attrLen], a); err != nil {
+			return err
+		}
+		s.hasAttrs = true
+	}
+	s.nlri = rest[2+attrLen:]
+	if s.nNLRI, err = countPrefixes(s.nlri); err != nil {
+		return err
+	}
+	if s.nNLRI > 0 && !s.hasAttrs {
+		return fmt.Errorf("%w: NLRI without path attributes", ErrBadMessage)
+	}
+	return nil
+}
+
+func parseUpdate(body []byte) (*Update, error) {
 	// Allocate the Update and its PathAttrs as one block: a table transfer
 	// parses millions of updates, the pair always lives and dies together,
 	// and the second heap object was ~20% of the pipeline's allocations.
@@ -388,33 +483,21 @@ func parseUpdate(body []byte) (*Update, error) {
 		u Update
 		a PathAttrs
 	}{}
-	u := &box.u
-	var err error
-	u.Withdrawn, err = parsePrefixes(body[2 : 2+wdLen])
-	if err != nil {
+	var s updateSections
+	if err := scanUpdate(body, &s, &box.a); err != nil {
 		return nil, err
 	}
-	rest := body[2+wdLen:]
-	attrLen := int(binary.BigEndian.Uint16(rest[0:2]))
-	if 2+attrLen > len(rest) {
-		return nil, fmt.Errorf("%w: attribute length %d", ErrBadLength, attrLen)
-	}
-	if attrLen > 0 {
-		if err := parseAttrs(rest[2:2+attrLen], &box.a); err != nil {
-			return nil, err
-		}
+	u := &box.u
+	if s.hasAttrs {
 		u.Attrs = &box.a
 	}
-	u.NLRI, err = parsePrefixes(rest[2+attrLen:])
-	if err != nil {
-		return nil, err
-	}
-	if len(u.NLRI) > 0 && u.Attrs == nil {
-		return nil, fmt.Errorf("%w: NLRI without path attributes", ErrBadMessage)
-	}
+	u.Withdrawn = decodePrefixes(s.withdrawn, s.nWithdrawn)
+	u.NLRI = decodePrefixes(s.nlri, s.nNLRI)
 	return u, nil
 }
 
+// parseAttrs validates a path-attribute block and, when a is non-nil,
+// decodes the modeled attributes into it.
 func parseAttrs(data []byte, a *PathAttrs) error {
 	for len(data) > 0 {
 		if len(data) < 3 {
@@ -434,12 +517,15 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 			return fmt.Errorf("%w: attribute value (%d declared)", ErrTruncated, alen)
 		}
 		val := data[hdr : hdr+alen]
+		data = data[hdr+alen:]
 		switch typ {
 		case AttrOrigin:
 			if alen != 1 {
 				return fmt.Errorf("%w: ORIGIN length %d", ErrBadLength, alen)
 			}
-			a.Origin = val[0]
+			if a != nil {
+				a.Origin = val[0]
+			}
 		case AttrASPath:
 			// Validate and count in one pass, then fill at exact size:
 			// append-growing a 3–6 hop path from nil costs several small
@@ -459,6 +545,9 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 				count += n
 				v = v[2+2*n:]
 			}
+			if a == nil {
+				continue
+			}
 			if a.ASPath == nil && count > 0 {
 				a.ASPath = make([]uint16, 0, count)
 			}
@@ -473,23 +562,45 @@ func parseAttrs(data []byte, a *PathAttrs) error {
 			if alen != 4 {
 				return fmt.Errorf("%w: NEXT_HOP length %d", ErrBadLength, alen)
 			}
-			a.NextHop = netip.AddrFrom4([4]byte(val))
+			if a != nil {
+				a.NextHop = netip.AddrFrom4([4]byte(val))
+			}
 		case AttrMED:
 			if alen != 4 {
 				return fmt.Errorf("%w: MED length %d", ErrBadLength, alen)
 			}
-			a.MED, a.HasMED = binary.BigEndian.Uint32(val), true
+			if a != nil {
+				a.MED, a.HasMED = binary.BigEndian.Uint32(val), true
+			}
 		case AttrLocalPref:
 			if alen != 4 {
 				return fmt.Errorf("%w: LOCAL_PREF length %d", ErrBadLength, alen)
 			}
-			a.LocalPref, a.HasLocal = binary.BigEndian.Uint32(val), true
+			if a != nil {
+				a.LocalPref, a.HasLocal = binary.BigEndian.Uint32(val), true
+			}
 		default:
 			// Unknown attributes are skipped (optional transitive pass-through).
 		}
-		data = data[hdr+alen:]
 	}
 	return nil
+}
+
+// frameLen returns the length of the whole message at the head of data, 0
+// when data holds less than one whole message, or the framing error that
+// stops a stream split.
+func frameLen(data []byte) (int, error) {
+	if len(data) < HeaderLen {
+		return 0, nil
+	}
+	length := int(binary.BigEndian.Uint16(data[16:18]))
+	if length < HeaderLen || length > MaxMessageLen {
+		return 0, fmt.Errorf("%w: %d", ErrBadLength, length)
+	}
+	if len(data) < length {
+		return 0, nil
+	}
+	return length, nil
 }
 
 // SplitStream splits a byte stream into whole BGP messages. It returns the
@@ -501,33 +612,56 @@ func SplitStream(data []byte) (msgs []Message, consumed int, err error) {
 	// walk stops where parsing would (short header, bad length, partial
 	// trailing message), so the count is never an underestimate.
 	count := 0
-	for off := 0; len(data)-off >= HeaderLen; count++ {
-		length := int(binary.BigEndian.Uint16(data[off+16 : off+18]))
-		if length < HeaderLen || length > MaxMessageLen || len(data)-off < length {
+	for off := 0; ; count++ {
+		n, err := frameLen(data[off:])
+		if err != nil || n == 0 {
 			break
 		}
-		off += length
+		off += n
 	}
 	if count > 0 {
 		msgs = make([]Message, 0, count)
 	}
 	for {
-		if len(data)-consumed < HeaderLen {
-			return msgs, consumed, nil
-		}
-		hdr := data[consumed:]
-		length := int(binary.BigEndian.Uint16(hdr[16:18]))
-		if length < HeaderLen || length > MaxMessageLen {
-			return msgs, consumed, fmt.Errorf("%w: %d", ErrBadLength, length)
-		}
-		if len(data)-consumed < length {
-			return msgs, consumed, nil
+		length, err := frameLen(data[consumed:])
+		if err != nil || length == 0 {
+			return msgs, consumed, err
 		}
 		m, err := Parse(data[consumed : consumed+length])
 		if err != nil {
 			return msgs, consumed, err
 		}
 		msgs = append(msgs, m)
+		consumed += length
+	}
+}
+
+// WalkUpdates frames data like SplitStream and validates every message
+// exactly as Parse does — the same checks in the same order, with the same
+// errors — without building any values: skipping attributes by length alone
+// would accept streams Parse rejects. For each UPDATE it calls fn with the
+// stream offset just past the message and the message's NLRI section, which
+// aliases data. It returns how many whole messages it walked and the bytes
+// they span; a trailing partial message is left unconsumed, and the first
+// invalid message stops the walk with consumed at its start.
+func WalkUpdates(data []byte, fn func(end int, nlri []byte)) (msgs, consumed int, err error) {
+	for {
+		length, err := frameLen(data[consumed:])
+		if err != nil || length == 0 {
+			return msgs, consumed, err
+		}
+		typ, body, err := checkMessage(data[consumed : consumed+length])
+		if err != nil {
+			return msgs, consumed, err
+		}
+		if typ == TypeUpdate {
+			var s updateSections
+			if err := scanUpdate(body, &s, nil); err != nil {
+				return msgs, consumed, err
+			}
+			fn(consumed+length, s.nlri)
+		}
+		msgs++
 		consumed += length
 	}
 }

@@ -5,7 +5,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"tdat/internal/bgp"
@@ -15,8 +14,6 @@ import (
 	"tdat/internal/flows"
 	"tdat/internal/mct"
 	"tdat/internal/obs"
-	"tdat/internal/packet"
-	"tdat/internal/pcapio"
 	"tdat/internal/reassembly"
 	"tdat/internal/series"
 	"tdat/internal/timerange"
@@ -63,7 +60,7 @@ type Config struct {
 	// run with an ErrStrict-wrapped error instead of degrading. The lenient
 	// default completes the analysis and accounts for every concession in
 	// Report.Degradation. Enforced by the ingest entry points (AnalyzePcap,
-	// AnalyzePcapWith, AnalyzeRecords).
+	// AnalyzePcapWith).
 	Strict bool
 	// MaxConnections caps simultaneously tracked (un-emitted) connections
 	// in the demuxer; when full, the oldest open connection is
@@ -175,33 +172,6 @@ type Report struct {
 // the trace is still being read (see AnalyzePcapWith).
 func (a *Analyzer) AnalyzePcap(r io.Reader) (*Report, error) {
 	return a.AnalyzePcapWith(r, a.AnalyzeConnection)
-}
-
-// AnalyzeRecords analyzes decoded pcap records. In strict mode the first
-// undecodable record (or any downstream degradation) aborts the run.
-func (a *Analyzer) AnalyzeRecords(recs []pcapio.Record) (*Report, error) {
-	var pkts []flows.TimedPacket
-	skipped := 0
-	for i, rec := range recs {
-		p, err := decodeRecord(rec)
-		if err != nil {
-			if a.cfg.Strict {
-				return nil, fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, i, err)
-			}
-			skipped++
-			continue
-		}
-		pkts = append(pkts, p)
-	}
-	rep := a.AnalyzePackets(pkts)
-	rep.SkippedPackets = skipped
-	rep.Degradation.UndecodableRecords = skipped
-	if a.cfg.Strict {
-		if err := rep.Degradation.strictErr(); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
 }
 
 // connLabel renders the connection 4-tuple for span logs and failure
@@ -348,40 +318,30 @@ func (a *Analyzer) AnalyzeConnectionWithUpdates(c *flows.Connection, updates []m
 
 // reassembleEnd recovers the BGP stream and estimates the transfer end,
 // noting reassembly concessions (framing failure, byte-cap truncation) on
-// the report.
+// the report. The stream is walked, not parsed: only UPDATE NLRI reaches
+// the finder, as packed prefix keys.
 func (a *Analyzer) reassembleEnd(c *flows.Connection, tr *TransferReport) (mct.Result, bool) {
-	// KeepRaw off: MCT only reads the parsed messages, so the per-message
-	// wire-byte copies are skipped.
-	res, err := reassembly.ReassembleOpts(c, reassembly.Options{MaxBytes: a.cfg.MaxReassemblyBytes})
-	if err != nil && (res.LooksLikeBGP || len(res.Messages) > 0) {
+	var f mct.Finder
+	// One message's keys; a full 4096-byte UPDATE of /24s holds about 1000.
+	var scratch [1024]uint64
+	keys := scratch[:0]
+	res, msgs, err := reassembly.WalkUpdates(c, a.cfg.MaxReassemblyBytes, func(t Micros, nlri []byte) {
+		if len(nlri) == 0 {
+			return
+		}
+		keys = bgp.AppendNLRIKeys(keys[:0], nlri)
+		f.Add(t, keys)
+	})
+	if err != nil && res.LooksLikeBGP {
 		// Only a stream that demonstrably carried BGP counts as damaged; a
 		// payload of some other protocol is a supported input (Messages
 		// stays 0 and the transfer end falls back), not a concession.
 		tr.ReassemblyError = err.Error()
 	}
 	tr.ReassemblyTruncated = res.TruncatedBytes
-	if err != nil || len(res.Messages) == 0 {
+	if err != nil || msgs == 0 {
 		return mct.Result{}, false
 	}
-	tr.Messages = len(res.Messages)
-	times := make([]Micros, len(res.Messages))
-	msgs := make([]bgp.Message, len(res.Messages))
-	for i, m := range res.Messages {
-		times[i] = m.Time
-		msgs[i] = m.Msg
-	}
-	ups := mct.FromMessages(times, msgs)
-	if len(ups) == 0 {
-		return mct.Result{}, false
-	}
-	return mct.FindEnd(ups, a.cfg.MCT)
-}
-
-// decodeRecord converts one pcap record to a timed packet.
-func decodeRecord(rec pcapio.Record) (flows.TimedPacket, error) {
-	p, err := packet.Decode(rec.Data)
-	if err != nil {
-		return flows.TimedPacket{}, err
-	}
-	return flows.TimedPacket{Time: rec.TimeMicros, Pkt: p}, nil
+	tr.Messages = msgs
+	return f.End(a.cfg.MCT)
 }

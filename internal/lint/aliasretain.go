@@ -10,10 +10,11 @@ func init() {
 		Name: "aliasretain",
 		Doc: "enforces the zero-copy buffer-ownership contract (DESIGN.md §14): a view " +
 			"derived from a caller-owned record buffer — pcapio.ReadInto/EachInto records " +
-			"and everything packet.DecodeInto flows out of them — is overwritten by the " +
-			"next read, so it must not be stored in a container, sent on a channel, " +
-			"returned, or passed to a function whose summary says it retains its argument; " +
-			"keeping bytes requires an explicit copy",
+			"and everything packet.DecodeInto flows out of them, and the NLRI a " +
+			"reassembly.WalkUpdates callback receives from the pooled stream buffer — is " +
+			"overwritten by the next read, so it must not be stored in a container, sent " +
+			"on a channel, returned, or passed to a function whose summary says it retains " +
+			"its argument; keeping bytes requires an explicit copy",
 		Run: runAliasretain,
 	})
 }
@@ -22,6 +23,18 @@ func init() {
 // introduce borrowed record buffers. Matching by RelPath rather than import
 // path lets the fixture module exercise the same rule as the real tree.
 const pcapioRelPath = "internal/pcapio"
+
+// borrowingCallbacks lists the calls whose callback argument receives
+// borrowed views: every reference-bearing parameter of the callback aliases
+// a buffer the callee recycles once the callback returns.
+var borrowingCallbacks = []struct {
+	relPath, name string
+	arg           int    // callback's index in the call's arguments
+	what          string // witness label for the borrowed parameter
+}{
+	{pcapioRelPath, "EachInto", 0, "EachInto record"},
+	{"internal/reassembly", "WalkUpdates", 2, "WalkUpdates NLRI"},
+}
 
 func runAliasretain(p *Pass) {
 	for _, f := range p.Files {
@@ -36,9 +49,10 @@ func runAliasretain(p *Pass) {
 }
 
 // checkBorrows analyzes one function: it finds every borrow scope (the
-// function body for ReadInto calls, each EachInto callback literal for its
-// record parameter), propagates the borrow through local bindings, and
-// reports sinks that let a view outlive the buffer's validity window.
+// function body for ReadInto calls, each borrowingCallbacks callback literal
+// for its reference-bearing parameters), propagates the borrow through
+// local bindings, and reports sinks that let a view outlive the buffer's
+// validity window.
 func checkBorrows(p *Pass, fd *ast.FuncDecl) {
 	// Function-body scope: every ReadInto target is borrowed for the rest of
 	// the function (the next ReadInto overwrites it, so accumulating sinks
@@ -50,11 +64,11 @@ func checkBorrows(p *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		callee := staticCallee(p.Info, call)
-		if callee == nil || p.Prog.RelPathOf(callee) != pcapioRelPath {
+		if callee == nil {
 			return true
 		}
-		switch callee.Name() {
-		case "ReadInto":
+		rel := p.Prog.RelPathOf(callee)
+		if rel == pcapioRelPath && callee.Name() == "ReadInto" {
 			args := callArgs(p.Info, call)
 			if len(args) >= 2 {
 				if root := rootIdent(stripAddr(args[1])); root != nil {
@@ -63,44 +77,61 @@ func checkBorrows(p *Pass, fd *ast.FuncDecl) {
 					}
 				}
 			}
-		case "EachInto":
-			args := call.Args
-			if len(args) != 1 {
-				return true
-			}
-			switch cb := unparen(args[0]).(type) {
-			case *ast.FuncLit:
-				// The callback's record parameter is borrowed for the
-				// callback's dynamic extent only; a fresh scope keeps the
-				// enclosing function's own locals classified as "outside".
-				cbScope := &borrowScope{pass: p, region: cb.Body, borrowed: map[types.Object]string{}}
-				if cb.Type.Params != nil {
-					for _, field := range cb.Type.Params.List {
-						for _, name := range field.Names {
-							if obj := p.Info.Defs[name]; obj != nil && refBearing(obj.Type()) {
-								cbScope.borrowed[obj] = name.Name + " (EachInto record)"
-							}
-						}
-					}
-				}
-				cbScope.check()
-			case *ast.Ident:
-				// Named callback: its summary must show the record parameter
-				// neither escaping nor returned.
-				if fn, ok := objOf(p.Info, cb).(*types.Func); ok {
-					if sum := p.Prog.SummaryOf(fn); sum != nil {
-						if fl := sum.flow(0); fl.Escapes || fl.ToResult {
-							p.Reportf(call.Pos(),
-								"EachInto callback %s retains the record buffer (its summary lets the record escape); copy the bytes it keeps",
-								fn.Name())
-						}
-					}
-				}
+			return true
+		}
+		for _, bc := range borrowingCallbacks {
+			if rel == bc.relPath && callee.Name() == bc.name && bc.arg < len(call.Args) {
+				checkBorrowingCallback(p, call, unparen(call.Args[bc.arg]), bc.what)
 			}
 		}
 		return true
 	})
 	fnScope.check()
+}
+
+// checkBorrowingCallback checks the callback cb passed to call, whose
+// reference-bearing parameters are borrowed for the callback's dynamic
+// extent only.
+func checkBorrowingCallback(p *Pass, call *ast.CallExpr, cb ast.Expr, what string) {
+	switch cb := cb.(type) {
+	case *ast.FuncLit:
+		// A fresh scope keeps the enclosing function's own locals
+		// classified as "outside".
+		cbScope := &borrowScope{pass: p, region: cb.Body, borrowed: map[types.Object]string{}}
+		if cb.Type.Params != nil {
+			for _, field := range cb.Type.Params.List {
+				for _, name := range field.Names {
+					if obj := p.Info.Defs[name]; obj != nil && refBearing(obj.Type()) {
+						cbScope.borrowed[obj] = name.Name + " (" + what + ")"
+					}
+				}
+			}
+		}
+		cbScope.check()
+	case *ast.Ident:
+		// Named callback: its summary must show no borrowed parameter
+		// escaping or returned.
+		fn, ok := objOf(p.Info, cb).(*types.Func)
+		if !ok {
+			return
+		}
+		sum := p.Prog.SummaryOf(fn)
+		sig, _ := fn.Type().(*types.Signature)
+		if sum == nil || sig == nil {
+			return
+		}
+		for i := 0; i < sig.Params().Len(); i++ {
+			if !refBearing(sig.Params().At(i).Type()) {
+				continue
+			}
+			if fl := sum.flow(i); fl.Escapes || fl.ToResult {
+				p.Reportf(call.Pos(),
+					"%s callback %s retains the borrowed buffer (its summary lets the %s escape); copy the bytes it keeps",
+					staticCallee(p.Info, call).Name(), fn.Name(), what)
+				return
+			}
+		}
+	}
 }
 
 // borrowScope is one dynamic extent inside which a set of objects hold

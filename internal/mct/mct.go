@@ -13,7 +13,6 @@
 package mct
 
 import (
-	"encoding/binary"
 	"net/netip"
 	"sort"
 
@@ -71,83 +70,120 @@ type Result struct {
 	UniquePrefixes int
 }
 
-// prefixSet tracks distinct prefixes. IPv4 prefixes — the overwhelming case
-// for the paper's table transfers — pack losslessly into a uint64 key
-// (length in the high word, big-endian address in the low), which hashes
-// several times faster than the 24-byte netip.Prefix struct and halves the
-// map's memory traffic; anything else falls into a lazily created spill map.
-type prefixSet struct {
-	v4    map[uint64]struct{}
-	other map[netip.Prefix]struct{}
-}
-
-func newPrefixSet(sizeHint int) *prefixSet {
-	return &prefixSet{v4: make(map[uint64]struct{}, sizeHint)}
-}
-
-// insert adds p, reporting whether it was previously unseen.
-func (s *prefixSet) insert(p netip.Prefix) bool {
-	if a := p.Addr(); a.Is4() {
-		a4 := a.As4()
-		key := uint64(uint32(p.Bits()))<<32 | uint64(binary.BigEndian.Uint32(a4[:]))
-		if _, ok := s.v4[key]; ok {
-			return false
-		}
-		s.v4[key] = struct{}{}
-		return true
-	}
-	if _, ok := s.other[p]; ok {
-		return false
-	}
-	if s.other == nil {
-		s.other = map[netip.Prefix]struct{}{}
-	}
-	s.other[p] = struct{}{}
-	return true
-}
-
-func (s *prefixSet) len() int { return len(s.v4) + len(s.other) }
-
 // FindEnd locates the transfer end in updates (which must be time-sorted;
-// they are sorted defensively). ok is false for an empty stream.
+// they are sorted defensively). An update without prefixes still counts as
+// a point with zero announcements. ok is false for an empty stream.
 func FindEnd(updates []Update, cfg Config) (Result, bool) {
+	total := 0
+	for i := range updates {
+		total += len(updates[i].Prefixes)
+	}
+	f := Finder{
+		times: make([]Micros, 0, len(updates)),
+		ends:  make([]int, 0, len(updates)),
+		keys:  make([]uint64, 0, total),
+	}
+	// Anything bgp.PrefixKey cannot pack (IPv6, invalid prefixes) gets a
+	// key of its own above the IPv4 key range, interned by prefix identity.
+	var spill map[netip.Prefix]uint64
+	for i := range updates {
+		for _, p := range updates[i].Prefixes {
+			key, ok := bgp.PrefixKey(p)
+			if !ok {
+				if key, ok = spill[p]; !ok {
+					if spill == nil {
+						spill = map[netip.Prefix]uint64{}
+					}
+					key = spillBase + uint64(len(spill))
+					spill[p] = key
+				}
+			}
+			f.keys = append(f.keys, key)
+		}
+		f.endUpdate(updates[i].Time)
+	}
+	return f.End(cfg)
+}
+
+// spillBase is the first key FindEnd assigns to a prefix bgp.PrefixKey
+// cannot pack; packed IPv4 keys stay below 1<<38.
+const spillBase = 1 << 40
+
+// Finder accumulates timed updates as packed prefix keys (bgp.PrefixKey,
+// bgp.AppendNLRIKeys) and locates the transfer end over them. It stores the
+// updates in columns — completion times, each update's end offset in the
+// key column, and the keys — so a table transfer costs three growing slices
+// rather than a heap object per update. The zero value is ready to use. A
+// Finder is per-transfer state; it is not safe for concurrent use.
+type Finder struct {
+	times []Micros
+	ends  []int // ends[i] is update i's end offset in keys
+	keys  []uint64
+}
+
+// Add records one update completing at t that announces keys. An update
+// with no keys still counts as a point with zero announcements. keys is
+// copied.
+func (f *Finder) Add(t Micros, keys []uint64) {
+	f.keys = append(f.keys, keys...)
+	f.endUpdate(t)
+}
+
+// endUpdate ends the update whose keys were appended since the previous one.
+func (f *Finder) endUpdate(t Micros) {
+	f.times = append(f.times, t)
+	f.ends = append(f.ends, len(f.keys))
+}
+
+// End locates the transfer end over the updates added so far, in
+// completion-time order: updates added out of time order are stably sorted
+// first. ok is false when no update was added.
+func (f *Finder) End(cfg Config) (Result, bool) {
 	cfg = cfg.withDefaults()
-	if len(updates) == 0 {
+	n := len(f.times)
+	if n == 0 {
 		return Result{}, false
 	}
-	ups := updates
-	for i := 1; i < len(ups); i++ {
-		if ups[i].Time < ups[i-1].Time {
-			ups = append([]Update(nil), updates...)
-			sort.SliceStable(ups, func(i, j int) bool { return ups[i].Time < ups[j].Time })
+	// order[i] is the i-th update in time order; nil when the updates
+	// already are (the usual case, which then costs no permutation).
+	var order []int
+	for i := 1; i < n; i++ {
+		if f.times[i] < f.times[i-1] {
+			order = make([]int, n)
+			for j := range order {
+				order[j] = j
+			}
+			sort.SliceStable(order, func(a, b int) bool { return f.times[order[a]] < f.times[order[b]] })
 			break
 		}
 	}
-
-	// Presize the seen-set to the announcement count: a table transfer is
-	// mostly distinct prefixes, so this avoids every rehash on the hot path
-	// at the cost of a transient overestimate on repetitive streams.
-	announced := 0
-	for i := range ups {
-		announced += len(ups[i].Prefixes)
-	}
-	seen := newPrefixSet(announced)
+	// Sized from the announcement count, an upper bound on the distinct
+	// prefixes (a table transfer is mostly distinct), so the set never
+	// fills, at the cost of a transient overestimate on repetitive streams.
+	seen := newKeySet(len(f.keys))
 	type point struct {
 		time    Micros
 		total   int // announcements in this update
 		novel   int // previously unseen prefixes in this update
 		cumulen int // unique prefixes after this update
 	}
-	points := make([]point, len(ups))
-	for i := range ups {
-		u := &ups[i]
+	points := make([]point, n)
+	for i := range points {
+		u := i
+		if order != nil {
+			u = order[i]
+		}
+		start := 0
+		if u > 0 {
+			start = f.ends[u-1]
+		}
 		novel := 0
-		for _, p := range u.Prefixes {
-			if seen.insert(p) {
+		for _, k := range f.keys[start:f.ends[u]] {
+			if seen.insert(k) {
 				novel++
 			}
 		}
-		points[i] = point{time: u.Time, total: len(u.Prefixes), novel: novel, cumulen: seen.len()}
+		points[i] = point{time: f.times[u], total: f.ends[u] - start, novel: novel, cumulen: seen.n}
 	}
 
 	// Scan forward: the transfer continues while updates keep arriving
@@ -187,6 +223,44 @@ func FindEnd(updates []Update, cfg Config) (Result, bool) {
 		Updates:        endIdx + 1,
 		UniquePrefixes: points[endIdx].cumulen,
 	}, true
+}
+
+// keySet is an open-addressing hash set of prefix keys with linear
+// probing. Slots hold key+1, so the zero value marks an empty slot (key 0
+// is 0.0.0.0/0). The table is sized once for its capacity at load ≤ 0.75
+// and never grows.
+type keySet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	n     int  // distinct keys inserted
+}
+
+func newKeySet(capacity int) keySet {
+	size, shift := 8, uint(61)
+	for size*3 < capacity*4 {
+		size, shift = size*2, shift-1
+	}
+	return keySet{slots: make([]uint64, size), shift: shift}
+}
+
+// insert adds k, reporting whether it was previously unseen. The set must
+// not already hold its capacity.
+func (s *keySet) insert(k uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	// Fibonacci hashing: the multiply mixes every key bit into the top
+	// bits, so the aligned, zero-padded addresses of table prefixes spread.
+	i := (k * 0x9E3779B97F4A7C15) >> s.shift
+	for {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k + 1
+			s.n++
+			return true
+		case k + 1:
+			return false
+		}
+		i = (i + 1) & mask
+	}
 }
 
 // FromMRT converts a collector's MRT archive into MCT updates — the

@@ -2,7 +2,9 @@ package mct
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
+	"sort"
 	"testing"
 
 	"tdat/internal/bgp"
@@ -158,5 +160,174 @@ func TestFromMRT(t *testing.T) {
 	}
 	if ups[0].Time != 20 || len(ups[1].Prefixes) != 2 {
 		t.Errorf("updates = %+v", ups)
+	}
+}
+
+// refFindEnd is the map-based FindEnd the Finder replaced, kept as the
+// reference the differential tests compare against.
+func refFindEnd(updates []Update, cfg Config) (Result, bool) {
+	cfg = cfg.withDefaults()
+	if len(updates) == 0 {
+		return Result{}, false
+	}
+	ups := append([]Update(nil), updates...)
+	sort.SliceStable(ups, func(i, j int) bool { return ups[i].Time < ups[j].Time })
+	seen := map[netip.Prefix]bool{}
+	type point struct {
+		time                  Micros
+		total, novel, cumulen int
+	}
+	points := make([]point, len(ups))
+	for i, u := range ups {
+		novel := 0
+		for _, p := range u.Prefixes {
+			if !seen[p] {
+				seen[p] = true
+				novel++
+			}
+		}
+		points[i] = point{u.Time, len(u.Prefixes), novel, len(seen)}
+	}
+	endIdx, lo := 0, 0
+	wTotal, wNovel := points[0].total, points[0].novel
+	for i := 1; i < len(points); i++ {
+		if points[i].time-points[i-1].time > cfg.QuietGap {
+			break
+		}
+		wTotal += points[i].total
+		wNovel += points[i].novel
+		for points[lo].time < points[i].time-cfg.NoveltyWindow {
+			wTotal -= points[lo].total
+			wNovel -= points[lo].novel
+			lo++
+		}
+		if wTotal > 0 && float64(wNovel)/float64(wTotal) < cfg.MinNovelty {
+			break
+		}
+		endIdx = i
+	}
+	for endIdx > 0 && points[endIdx].novel == 0 {
+		endIdx--
+	}
+	return Result{End: points[endIdx].time, Updates: endIdx + 1, UniquePrefixes: points[endIdx].cumulen}, true
+}
+
+// randomStream draws a transfer-like stream that exercises every branch the
+// key path has: repeated prefixes, unmasked host bits, the default route,
+// IPv6 and invalid prefixes, updates with no prefixes, quiet gaps, and
+// out-of-order completion times.
+func randomStream(rnd *rand.Rand) []Update {
+	pool := []netip.Prefix{
+		netip.MustParsePrefix("0.0.0.0/0"),
+		netip.MustParsePrefix("2001:db8::/32"),
+		netip.MustParsePrefix("::ffff:10.0.0.0/104"),
+		netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, 2, 3}), 16), // host bits set
+		{}, // invalid
+	}
+	n := 1 + rnd.Intn(300)
+	ups := make([]Update, n)
+	t := Micros(0)
+	for i := range ups {
+		switch r := rnd.Intn(100); {
+		case r < 2:
+			t += 40_000_000 // past the quiet gap
+		case r < 8:
+			t -= Micros(rnd.Intn(2_000_000)) // late completion
+		default:
+			t += Micros(rnd.Intn(400_000))
+		}
+		var ps []netip.Prefix
+		for j := rnd.Intn(6); j > 0; j-- {
+			switch r := rnd.Intn(10); {
+			case r == 0:
+				ps = append(ps, pool[rnd.Intn(len(pool))])
+			case r < 4:
+				ps = append(ps, pfx(rnd.Intn(i+1))) // likely seen before
+			default:
+				ps = append(ps, pfx(rnd.Intn(1<<16)))
+			}
+		}
+		ups[i] = Update{Time: t, Prefixes: ps}
+	}
+	return ups
+}
+
+// TestFindEndMatchesReference pins the Finder-backed FindEnd to the
+// map-based reference on seeded random streams.
+func TestFindEndMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		ups := randomStream(rnd)
+		orig := append([]Update(nil), ups...)
+		got, gok := FindEnd(ups, Config{})
+		want, wok := refFindEnd(ups, Config{})
+		if got != want || gok != wok {
+			t.Fatalf("stream %d: FindEnd = %+v %v, reference = %+v %v", i, got, gok, want, wok)
+		}
+		for j := range ups {
+			if ups[j].Time != orig[j].Time {
+				t.Fatalf("stream %d: FindEnd reordered its input", i)
+			}
+		}
+	}
+}
+
+// TestFinderKeysMatchPrefixes feeds a Finder the packed keys of each
+// update's prefixes and checks it agrees with FindEnd over the prefixes.
+func TestFinderKeysMatchPrefixes(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		ups := randomStream(rnd)
+		var f Finder
+		var keys []uint64
+		v4 := ups[:0:0]
+		for _, u := range ups {
+			keys = keys[:0]
+			var ps []netip.Prefix
+			for _, p := range u.Prefixes {
+				if k, ok := bgp.PrefixKey(p); ok {
+					keys = append(keys, k)
+					ps = append(ps, p)
+				}
+			}
+			f.Add(u.Time, keys)
+			v4 = append(v4, Update{Time: u.Time, Prefixes: ps})
+		}
+		got, gok := f.End(Config{})
+		want, wok := FindEnd(v4, Config{})
+		if got != want || gok != wok {
+			t.Fatalf("stream %d: Finder = %+v %v, FindEnd = %+v %v", i, got, gok, want, wok)
+		}
+	}
+}
+
+func TestFinderEmptyUpdatesArePoints(t *testing.T) {
+	var f Finder
+	if _, ok := f.End(Config{}); ok {
+		t.Error("empty Finder found a transfer")
+	}
+	f.Add(10, []uint64{1, 2})
+	f.Add(20, nil)
+	f.Add(30, []uint64{3})
+	res, ok := f.End(Config{})
+	if !ok || res.Updates != 3 || res.End != 30 || res.UniquePrefixes != 3 {
+		t.Errorf("result = %+v ok=%v, want 3 updates ending at 30 with 3 prefixes", res, ok)
+	}
+}
+
+func TestKeySetGrowsToCapacity(t *testing.T) {
+	for _, n := range []int{0, 1, 6, 7, 100, 4096} {
+		s := newKeySet(n)
+		if 4*n > 3*len(s.slots) {
+			t.Errorf("capacity %d: %d slots exceed load 0.75", n, len(s.slots))
+		}
+		for k := 0; k < n; k++ {
+			if !s.insert(uint64(k)) || s.insert(uint64(k)) {
+				t.Fatalf("capacity %d: key %d inserted wrong", n, k)
+			}
+		}
+		if s.n != n {
+			t.Errorf("capacity %d: n = %d", n, s.n)
+		}
 	}
 }

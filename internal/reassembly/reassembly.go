@@ -58,25 +58,15 @@ type Options struct {
 	// the overflow is reported in Result.TruncatedBytes.
 	MaxBytes int64
 	// KeepRaw populates Message.Raw with a private copy of each message's
-	// wire bytes. The analyzer's MCT path only reads the parsed messages,
-	// so it leaves this off and skips one stream-sized set of copies per
-	// connection; tools that re-emit wire bytes (pcap2bgp, MRT conversion)
-	// turn it on.
+	// wire bytes. Callers that only read the parsed messages leave it off
+	// and skip one stream-sized set of copies per connection; tools that
+	// re-emit wire bytes (pcap2bgp, MRT conversion) turn it on.
 	KeepRaw bool
 }
 
 // Reassemble rebuilds the byte stream of c and splits it into BGP messages.
 func Reassemble(c *flows.Connection) (*Result, error) {
 	return ReassembleOpts(c, Options{KeepRaw: true})
-}
-
-// ReassembleLimited is Reassemble with a cap on the linearized stream:
-// at most maxBytes of the contiguous prefix are materialized and decoded
-// (0 means unlimited). A hostile capture whose sequence numbers claim a
-// multi-gigabyte contiguous stream then costs at most maxBytes of memory;
-// what the cap cut off is reported in Result.TruncatedBytes.
-func ReassembleLimited(c *flows.Connection, maxBytes int64) (*Result, error) {
-	return ReassembleOpts(c, Options{MaxBytes: maxBytes, KeepRaw: true})
 }
 
 // seg is one first-arrival payload at a stream offset.
@@ -88,8 +78,8 @@ type seg struct {
 
 // streamPool recycles the linearization buffer across connections: the
 // parsed messages never alias it (bgp.Parse copies what it keeps, Raw is an
-// explicit copy), so each buffer can be handed to the next connection once
-// its result is built.
+// explicit copy) and WalkUpdates' callback views end with the walk, so each
+// buffer can be handed to the next connection once its result is built.
 var streamPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getStream returns a buffer of length n, zeroed unless the caller promises
@@ -112,6 +102,62 @@ func getStream(n int64, fullyCovered bool) *[]byte {
 
 // ReassembleOpts is Reassemble with explicit options.
 func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
+	return linearize(c, opts.MaxBytes, func(res *Result, stream []byte, spans []span) error {
+		msgs, consumed, err := bgp.SplitStream(stream)
+		if err != nil {
+			return framingError(consumed, err)
+		}
+		res.Messages = make([]Message, 0, len(msgs))
+		off := int64(0)
+		for _, m := range msgs {
+			length := int64(uint16(stream[off+16])<<8 | uint16(stream[off+17]))
+			var raw []byte
+			if opts.KeepRaw {
+				raw = append([]byte(nil), stream[off:off+length]...)
+			}
+			res.Messages = append(res.Messages, Message{
+				Time: timeAt(spans, off+length),
+				Msg:  m,
+				Raw:  raw,
+			})
+			off += length
+		}
+		return nil
+	})
+}
+
+// WalkUpdates reassembles c as ReassembleOpts does with maxBytes as
+// Options.MaxBytes, but walks the recovered stream with bgp.WalkUpdates
+// instead of parsing it: fn receives each UPDATE's completion time and NLRI
+// section, and no Messages are built. nlri aliases the pooled stream buffer
+// and is valid only during the call, so fn must copy what it keeps. It
+// returns the count of whole messages walked; the Result and error match
+// ReassembleOpts.
+func WalkUpdates(c *flows.Connection, maxBytes int64, fn func(t timerange.Micros, nlri []byte)) (*Result, int, error) {
+	msgs := 0
+	res, err := linearize(c, maxBytes, func(_ *Result, stream []byte, spans []span) error {
+		n, consumed, err := bgp.WalkUpdates(stream, func(end int, nlri []byte) {
+			fn(timeAt(spans, int64(end)), nlri)
+		})
+		msgs = n
+		if err != nil {
+			return framingError(consumed, err)
+		}
+		return nil
+	})
+	return res, msgs, err
+}
+
+// framingError wraps the BGP error that stopped a stream split at offset.
+func framingError(offset int, err error) error {
+	return fmt.Errorf("reassembly: BGP framing at offset %d: %w", offset, err)
+}
+
+// linearize rebuilds the contiguous stream prefix of c, capped at maxBytes
+// when positive, in a pooled buffer and hands it to decode with the
+// per-segment arrival boundaries timeAt reads; the buffer returns to the
+// pool when decode does. decode is not called when c carries no payload.
+func linearize(c *flows.Connection, maxBytes int64, decode func(res *Result, stream []byte, spans []span) error) (*Result, error) {
 	firstAt := make(map[int64]struct{}, len(c.Data))
 	segs := make([]seg, 0, len(c.Data))
 	covered := timerange.NewSet()
@@ -146,9 +192,9 @@ func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 	}
 	res.StreamBytes = contig
 	res.MissingRanges = covered.Complement(timerange.R(0, limit)).Ranges()
-	if opts.MaxBytes > 0 && contig > opts.MaxBytes {
-		res.TruncatedBytes = contig - opts.MaxBytes
-		contig = opts.MaxBytes
+	if maxBytes > 0 && contig > maxBytes {
+		res.TruncatedBytes = contig - maxBytes
+		contig = maxBytes
 	}
 
 	// Linearize the contiguous prefix, remembering per-segment arrival
@@ -195,30 +241,9 @@ func ReassembleOpts(c *flows.Connection, opts Options) (*Result, error) {
 	sort.Slice(spans, func(i, j int) bool { return spans[i].end < spans[j].end })
 
 	res.LooksLikeBGP = len(stream) >= len(bgpMarker) && bytes.Equal(stream[:len(bgpMarker)], bgpMarker)
-
-	// Split into BGP messages.
-	msgs, consumed, err := bgp.SplitStream(stream)
-	if err != nil {
-		streamPool.Put(streamBuf)
-		return res, fmt.Errorf("reassembly: BGP framing at offset %d: %w", consumed, err)
-	}
-	res.Messages = make([]Message, 0, len(msgs))
-	off := int64(0)
-	for _, m := range msgs {
-		length := int64(uint16(stream[off+16])<<8 | uint16(stream[off+17]))
-		var raw []byte
-		if opts.KeepRaw {
-			raw = append([]byte(nil), stream[off:off+length]...)
-		}
-		res.Messages = append(res.Messages, Message{
-			Time: timeAt(spans, off+length),
-			Msg:  m,
-			Raw:  raw,
-		})
-		off += length
-	}
+	err := decode(res, stream, spans)
 	streamPool.Put(streamBuf)
-	return res, nil
+	return res, err
 }
 
 // timeAt returns the arrival time of the segment containing stream position

@@ -1,6 +1,7 @@
 package reassembly
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -205,7 +206,7 @@ func TestReassembleLimitedTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := full.StreamBytes / 2
-	res, err := ReassembleLimited(c, cap)
+	res, err := ReassembleOpts(c, Options{MaxBytes: cap, KeepRaw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +227,79 @@ func TestReassembleNonBGPNotFlagged(t *testing.T) {
 	// "damaged BGP" from "not BGP at all".
 	payload := make([]byte, 64) // zeros: no marker, framing fails
 	pkts := packetsFor(payload, 64, func(i int) flows.Micros { return flows.Micros(i) })
-	res, err := ReassembleLimited(extractOne(t, pkts), 0)
+	res, err := ReassembleOpts(extractOne(t, pkts), Options{KeepRaw: true})
 	if err == nil {
 		t.Fatal("zero-filled stream framed as BGP")
 	}
 	if res.LooksLikeBGP {
 		t.Error("zero-filled stream flagged as BGP")
+	}
+}
+
+// TestWalkUpdatesMatchesReassemble checks the walk against the parsed
+// reassembly on clean, reordered, capped and damaged streams: the same
+// Result, message count and error, and one callback per UPDATE carrying
+// its completion time and NLRI bytes.
+func TestWalkUpdatesMatchesReassemble(t *testing.T) {
+	stream := bgpStream(t, 30)
+	// Break the marker of the 11th update (OPEN and KEEPALIVE take 48 bytes,
+	// the 30 updates are equal-sized).
+	damaged := append([]byte(nil), stream...)
+	damaged[48+10*(len(stream)-48)/30] = 0
+	reordered := func(i int) flows.Micros {
+		if i == 2 {
+			return 90_000
+		}
+		return flows.Micros(i) * 1000
+	}
+	cases := []struct {
+		name     string
+		stream   []byte
+		times    func(i int) flows.Micros
+		maxBytes int64
+	}{
+		{"clean", stream, func(i int) flows.Micros { return flows.Micros(i) * 1000 }, 0},
+		{"reordered", stream, reordered, 0},
+		{"capped", stream, reordered, int64(len(stream)/3 + 5)},
+		{"damaged", damaged, reordered, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := extractOne(t, packetsFor(tc.stream, 150, tc.times))
+			want, werr := ReassembleOpts(c, Options{MaxBytes: tc.maxBytes, KeepRaw: true})
+			type call struct {
+				time flows.Micros
+				nlri string
+			}
+			var calls []call
+			got, msgs, err := WalkUpdates(c, tc.maxBytes, func(tm flows.Micros, nlri []byte) {
+				calls = append(calls, call{tm, string(nlri)})
+			})
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("err = %v, ReassembleOpts err = %v", err, werr)
+			}
+			if got.StreamBytes != want.StreamBytes || got.TruncatedBytes != want.TruncatedBytes ||
+				got.LooksLikeBGP != want.LooksLikeBGP || len(got.MissingRanges) != len(want.MissingRanges) || got.Messages != nil {
+				t.Errorf("result = %+v, ReassembleOpts %+v", got, want)
+			}
+			if (werr != nil) != (tc.name == "damaged") {
+				t.Fatalf("ReassembleOpts err = %v", werr)
+			}
+			if werr != nil {
+				return
+			}
+			var wantCalls []call
+			for _, m := range want.Messages {
+				if _, ok := m.Msg.(*bgp.Update); ok {
+					// No withdrawn routes; the attribute block is under 256 bytes.
+					nlri := m.Raw[bgp.HeaderLen+4+int(m.Raw[bgp.HeaderLen+3]):]
+					wantCalls = append(wantCalls, call{m.Time, string(nlri)})
+				}
+			}
+			if msgs != len(want.Messages) || fmt.Sprint(calls) != fmt.Sprint(wantCalls) {
+				t.Errorf("walked %d messages, calls %v; ReassembleOpts %d messages, updates %v",
+					msgs, calls, len(want.Messages), wantCalls)
+			}
+		})
 	}
 }
