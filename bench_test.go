@@ -21,6 +21,8 @@ import (
 	"tdat/internal/experiments"
 	"tdat/internal/factors"
 	"tdat/internal/flows"
+	"tdat/internal/mct"
+	"tdat/internal/mrt"
 	"tdat/internal/obs"
 	"tdat/internal/pcapio"
 	"tdat/internal/series"
@@ -605,6 +607,42 @@ func BenchmarkFlowExtraction(b *testing.B) {
 }
 
 func toTimed(tr *tracegen.Trace) []flows.TimedPacket { return tr.Packets() }
+
+// BenchmarkArchiveEnd times the archive path of the Quagga pipeline (`tdat
+// -mrt`): decode a collector's MRT archive of one 12k-route table transfer,
+// convert it to MCT updates and locate the transfer end. Its allocs/op is
+// per archive, not per record, and gated in scripts/benchfloor.txt.
+func BenchmarkArchiveEnd(b *testing.B) {
+	tr := tracegen.Run(tracegen.Scenario{Kind: tracegen.KindClean, Seed: 7042, Routes: 12_000})
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	for _, e := range tr.Archive {
+		rec := mrt.Record{TimeMicros: e.Time, PeerAS: e.PeerAS, LocalAS: 65000,
+			PeerIP: netip.MustParseAddr("10.0.0.1"), LocalIP: netip.MustParseAddr("10.0.0.2"), Raw: e.Raw}
+		if err := w.Write(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	archive := buf.Bytes()
+	b.SetBytes(int64(len(archive)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res mct.Result
+	for i := 0; i < b.N; i++ {
+		recs, err := mrt.ReadAll(bytes.NewReader(archive))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, _ = mct.FindEnd(mct.FromMRT(recs), mct.Config{})
+	}
+	if res.Updates == 0 {
+		b.Fatal("no transfer end found")
+	}
+	b.ReportMetric(float64(len(tr.Archive)), "records")
+}
 
 // BenchmarkAccuracyGroundTruth scores the analyzer's dominant-group verdict
 // against the simulator's known pathology (the reproduction's headline

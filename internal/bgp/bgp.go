@@ -288,7 +288,7 @@ func marshalPrefixes(prefixes []Prefix) ([]byte, error) {
 // countPrefixes validates an NLRI-format prefix list — every length at
 // most 32, every address byte present — and returns its entry count. It is
 // the one definition of a well-formed prefix list, shared by Parse and
-// WalkUpdates.
+// checkUpdate.
 func countPrefixes(data []byte) (int, error) {
 	count := 0
 	for rest := data; len(rest) > 0; count++ {
@@ -305,25 +305,22 @@ func countPrefixes(data []byte) (int, error) {
 	return count, nil
 }
 
-// decodePrefixes decodes a prefix list countPrefixes accepted with count
-// entries. Counting first allocates the result once at exact size — prefix
-// lists dominate table-transfer parsing, and append-growing a slice of
-// 4096-byte messages' worth of prefixes resized several times per message.
-func decodePrefixes(data []byte, count int) []Prefix {
-	if count == 0 {
-		return nil
-	}
-	out := make([]Prefix, 0, count)
-	for len(data) > 0 {
-		bits := int(data[0])
+// AppendPrefixes appends the prefixes of nlri to dst, each masked to its
+// length, and returns the extended slice. nlri must be a prefix list Parse,
+// WalkUpdates or UpdateNLRI accepted; sizing dst from the count they report
+// makes the append allocation-free.
+func AppendPrefixes(dst []Prefix, nlri []byte) []Prefix {
+	for len(nlri) > 0 {
+		bits := int(nlri[0])
 		nbytes := (bits + 7) / 8
 		var addr [4]byte
-		copy(addr[:], data[1:1+nbytes])
-		p := netip.PrefixFrom(netip.AddrFrom4(addr), bits)
-		out = append(out, p.Masked())
-		data = data[1+nbytes:]
+		copy(addr[:], nlri[1:1+nbytes])
+		// Clear the host bits past the length, as netip.Prefix.Masked does.
+		binary.BigEndian.PutUint32(addr[:], binary.BigEndian.Uint32(addr[:])&^(^uint32(0)>>bits))
+		dst = append(dst, netip.PrefixFrom(netip.AddrFrom4(addr), bits))
+		nlri = nlri[1+nbytes:]
 	}
-	return out
+	return dst
 }
 
 // PrefixWireLen returns the NLRI encoding size of one prefix.
@@ -343,8 +340,8 @@ func PrefixKey(p Prefix) (key uint64, ok bool) {
 }
 
 // AppendNLRIKeys appends the PrefixKey of every prefix in nlri, masked to
-// its length exactly as Parse masks the prefixes it returns. nlri must be a
-// prefix list Parse or WalkUpdates accepted.
+// its length exactly as AppendPrefixes masks the prefixes Parse returns.
+// nlri must be a prefix list Parse, WalkUpdates or UpdateNLRI accepted.
 func AppendNLRIKeys(dst []uint64, nlri []byte) []uint64 {
 	for len(nlri) > 0 {
 		bits := int(nlri[0])
@@ -440,7 +437,7 @@ type updateSections struct {
 // the path attributes, the NLRI — returning the first error Parse reports
 // for it, locates its sections in s, and decodes the path attributes into a
 // when a is non-nil. It is the one definition of a well-formed UPDATE,
-// shared by Parse and WalkUpdates.
+// shared by Parse and checkUpdate.
 func scanUpdate(body []byte, s *updateSections, a *PathAttrs) error {
 	if len(body) < 4 {
 		return fmt.Errorf("%w: UPDATE body %d bytes", ErrTruncated, len(body))
@@ -491,8 +488,13 @@ func parseUpdate(body []byte) (*Update, error) {
 	if s.hasAttrs {
 		u.Attrs = &box.a
 	}
-	u.Withdrawn = decodePrefixes(s.withdrawn, s.nWithdrawn)
-	u.NLRI = decodePrefixes(s.nlri, s.nNLRI)
+	// Counted first, so each list is allocated once at exact size.
+	if s.nWithdrawn > 0 {
+		u.Withdrawn = AppendPrefixes(make([]Prefix, 0, s.nWithdrawn), s.withdrawn)
+	}
+	if s.nNLRI > 0 {
+		u.NLRI = AppendPrefixes(make([]Prefix, 0, s.nNLRI), s.nlri)
+	}
 	return u, nil
 }
 
@@ -650,20 +652,43 @@ func WalkUpdates(data []byte, fn func(end int, nlri []byte)) (msgs, consumed int
 		if err != nil || length == 0 {
 			return msgs, consumed, err
 		}
-		typ, body, err := checkMessage(data[consumed : consumed+length])
+		typ, nlri, _, err := checkUpdate(data[consumed : consumed+length])
 		if err != nil {
 			return msgs, consumed, err
 		}
 		if typ == TypeUpdate {
-			var s updateSections
-			if err := scanUpdate(body, &s, nil); err != nil {
-				return msgs, consumed, err
-			}
-			fn(consumed+length, s.nlri)
+			fn(consumed+length, nlri)
 		}
 		msgs++
 		consumed += length
 	}
+}
+
+// checkUpdate validates msg as exactly one whole message, exactly as Parse
+// does, without building any values, and returns its type and, for an
+// UPDATE, its NLRI section (aliasing msg) and prefix count. It is the one
+// per-message check behind WalkUpdates and UpdateNLRI.
+func checkUpdate(msg []byte) (typ uint8, nlri []byte, n int, err error) {
+	typ, body, err := checkMessage(msg)
+	if err != nil || typ != TypeUpdate {
+		return typ, nil, 0, err
+	}
+	var s updateSections
+	if err := scanUpdate(body, &s, nil); err != nil {
+		return 0, nil, 0, err
+	}
+	return typ, s.nlri, s.nNLRI, nil
+}
+
+// UpdateNLRI validates msg, one whole message, exactly as Parse does and
+// returns the NLRI section of an UPDATE — a view of msg — with its prefix
+// count; any other valid message yields no NLRI. It accepts exactly what
+// Parse accepts, with the same errors, but builds nothing:
+// AppendPrefixes(dst, nlri) decodes the prefixes Parse would return as
+// Update.NLRI.
+func UpdateNLRI(msg []byte) (nlri []byte, n int, err error) {
+	_, nlri, n, err = checkUpdate(msg)
+	return nlri, n, err
 }
 
 // Route is one routing-table entry: a prefix and its attribute set.

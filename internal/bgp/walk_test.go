@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"slices"
 	"sort"
 	"testing"
@@ -184,4 +185,98 @@ func FuzzWalkUpdates(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// refPrefixes is the decoder AppendPrefixes replaced: netip's own masking,
+// kept as the reference the masking test compares against.
+func refPrefixes(data []byte) []Prefix {
+	var out []Prefix
+	for len(data) > 0 {
+		bits := int(data[0])
+		nbytes := (bits + 7) / 8
+		var addr [4]byte
+		copy(addr[:], data[1:1+nbytes])
+		out = append(out, netip.PrefixFrom(netip.AddrFrom4(addr), bits).Masked())
+		data = data[1+nbytes:]
+	}
+	return out
+}
+
+// TestAppendPrefixesMasks pins AppendPrefixes to netip's masking on random
+// prefix lists with host bits set, at every length from /0 to /32.
+func TestAppendPrefixesMasks(t *testing.T) {
+	rnd := rand.New(rand.NewSource(13))
+	for i := 0; i < 500; i++ {
+		var nlri []byte
+		for j := rnd.Intn(20); j > 0; j-- {
+			bits := rnd.Intn(33)
+			nlri = append(nlri, byte(bits))
+			for k := 0; k < (bits+7)/8; k++ {
+				nlri = append(nlri, byte(rnd.Intn(256)))
+			}
+		}
+		n, err := countPrefixes(nlri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]Prefix, 1, 1+n)
+		got := AppendPrefixes(dst, nlri)
+		if want := refPrefixes(nlri); !slices.Equal(got[1:], want) || len(got) != 1+n {
+			t.Fatalf("list %x: AppendPrefixes = %v, reference %v", nlri, got[1:], want)
+		}
+		if &got[0] != &dst[0] {
+			t.Fatalf("list %x: AppendPrefixes reallocated an exact-size slice", nlri)
+		}
+	}
+}
+
+// nlriDivergence describes the first way UpdateNLRI disagrees with Parse on
+// one message: error text, or the prefixes AppendPrefixes decodes from the
+// NLRI it returns against Parse's Update.NLRI.
+func nlriDivergence(msg []byte) error {
+	nlri, n, err := UpdateNLRI(msg)
+	m, perr := Parse(msg)
+	if fmt.Sprint(err) != fmt.Sprint(perr) {
+		return fmt.Errorf("UpdateNLRI error %q, Parse error %q", fmt.Sprint(err), fmt.Sprint(perr))
+	}
+	var want []Prefix
+	if u, ok := m.(*Update); ok {
+		want = u.NLRI
+	}
+	if got := AppendPrefixes(nil, nlri); n != len(got) || !slices.Equal(got, want) {
+		return fmt.Errorf("UpdateNLRI gave %d prefixes %v, Parse %v", n, got, want)
+	}
+	return nil
+}
+
+// TestUpdateNLRIMatchesParse pins UpdateNLRI to Parse on each message of
+// the clean stream, the final (invalid) message of every error case, and
+// seeded random mutations of every clean message.
+func TestUpdateNLRIMatchesParse(t *testing.T) {
+	names, cases := walkCases(t)
+	clean := cases["clean"]
+	var msgs [][]byte
+	for rest := clean; len(rest) > 0; {
+		n := int(binary.BigEndian.Uint16(rest[16:18]))
+		msgs = append(msgs, rest[:n])
+		rest = rest[n:]
+	}
+	for _, name := range names {
+		msgs = append(msgs, cases[name][len(clean):])
+	}
+	for i, msg := range msgs {
+		if err := nlriDivergence(msg); err != nil {
+			t.Errorf("message %d (%x): %v", i, msg, err)
+		}
+	}
+	rnd := rand.New(rand.NewSource(17))
+	for i := 0; i < 3000; i++ {
+		msg := append([]byte(nil), msgs[rnd.Intn(len(msgs))]...)
+		for j := 0; j < 1+rnd.Intn(3) && len(msg) > 0; j++ {
+			msg[rnd.Intn(len(msg))] ^= byte(1 << rnd.Intn(8))
+		}
+		if err := nlriDivergence(msg); err != nil {
+			t.Fatalf("mutation %d (%x): %v", i, msg, err)
+		}
+	}
 }

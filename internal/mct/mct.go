@@ -265,19 +265,32 @@ func (s *keySet) insert(k uint64) bool {
 
 // FromMRT converts a collector's MRT archive into MCT updates — the
 // Quagga-collector pipeline of paper §II-A, where the transfer end comes
-// from the BGP archive rather than payload reassembly.
+// from the BGP archive rather than payload reassembly. Records that do not
+// parse, are not UPDATEs, or announce nothing are skipped. It builds no
+// messages: a counting pass validates each record as bgp.Parse does, then
+// a fill pass decodes the NLRI into one exact-size prefix arena that every
+// Update.Prefixes is a capped view of.
 func FromMRT(records []mrt.Record) []Update {
-	var out []Update
-	for _, r := range records {
-		m, err := r.Message()
-		if err != nil {
+	updates, prefixes := 0, 0
+	for i := range records {
+		if _, n, err := bgp.UpdateNLRI(records[i].Raw); err == nil && n > 0 {
+			updates++
+			prefixes += n
+		}
+	}
+	if updates == 0 {
+		return nil
+	}
+	out := make([]Update, 0, updates)
+	arena := make([]netip.Prefix, 0, prefixes)
+	for i := range records {
+		nlri, n, err := bgp.UpdateNLRI(records[i].Raw)
+		if err != nil || n == 0 {
 			continue
 		}
-		u, ok := m.(*bgp.Update)
-		if !ok || len(u.NLRI) == 0 {
-			continue
-		}
-		out = append(out, Update{Time: r.TimeMicros, Prefixes: u.NLRI})
+		start := len(arena)
+		arena = bgp.AppendPrefixes(arena, nlri)
+		out = append(out, Update{Time: records[i].TimeMicros, Prefixes: arena[start:len(arena):len(arena)]})
 	}
 	return out
 }

@@ -1,9 +1,11 @@
 package mct
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 
@@ -136,30 +138,6 @@ func TestFindEndDeterministic(t *testing.T) {
 	}
 	if results[0] != results[1] || results[1] != results[2] {
 		t.Errorf("nondeterministic results: %v", results)
-	}
-}
-
-func TestFromMRT(t *testing.T) {
-	attrs := &bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: []uint16{1}, NextHop: netip.MustParseAddr("10.0.0.1")}
-	mkRaw := func(m bgp.Message) []byte {
-		raw, err := m.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	records := []mrt.Record{
-		{TimeMicros: 10, Raw: mkRaw(&bgp.Keepalive{})},
-		{TimeMicros: 20, Raw: mkRaw(&bgp.Update{Attrs: attrs, NLRI: []netip.Prefix{pfx(1)}})},
-		{TimeMicros: 30, Raw: []byte{0xde, 0xad}}, // corrupt record skipped
-		{TimeMicros: 40, Raw: mkRaw(&bgp.Update{Attrs: attrs, NLRI: []netip.Prefix{pfx(2), pfx(3)}})},
-	}
-	ups := FromMRT(records)
-	if len(ups) != 2 {
-		t.Fatalf("updates = %d, want 2", len(ups))
-	}
-	if ups[0].Time != 20 || len(ups[1].Prefixes) != 2 {
-		t.Errorf("updates = %+v", ups)
 	}
 }
 
@@ -330,4 +308,178 @@ func TestKeySetGrowsToCapacity(t *testing.T) {
 			t.Errorf("capacity %d: n = %d", n, s.n)
 		}
 	}
+}
+
+// refFromMRT is the Parse-based conversion FromMRT replaced, kept as the
+// reference the differential tests compare against.
+func refFromMRT(records []mrt.Record) []Update {
+	var out []Update
+	for _, r := range records {
+		m, err := r.Message()
+		if err != nil {
+			continue
+		}
+		u, ok := m.(*bgp.Update)
+		if !ok || len(u.NLRI) == 0 {
+			continue
+		}
+		out = append(out, Update{Time: r.TimeMicros, Prefixes: u.NLRI})
+	}
+	return out
+}
+
+// fromMRTDivergence describes the first way FromMRT disagrees with the
+// reference on records: the updates kept, their times, their masked
+// prefixes, or the transfer end found over them.
+func fromMRTDivergence(records []mrt.Record) error {
+	got, want := FromMRT(records), refFromMRT(records)
+	if len(got) != len(want) {
+		return fmt.Errorf("%d updates, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Time != want[i].Time || !slices.Equal(got[i].Prefixes, want[i].Prefixes) {
+			return fmt.Errorf("update %d = %+v, reference %+v", i, got[i], want[i])
+		}
+		if cap(got[i].Prefixes) != len(got[i].Prefixes) {
+			return fmt.Errorf("update %d: prefixes cap %d exceeds len %d", i, cap(got[i].Prefixes), len(got[i].Prefixes))
+		}
+		for _, p := range got[i].Prefixes {
+			if p != p.Masked() {
+				return fmt.Errorf("update %d: prefix %v has host bits", i, p)
+			}
+		}
+	}
+	gr, gok := FindEnd(got, Config{})
+	wr, wok := FindEnd(want, Config{})
+	if gr != wr || gok != wok {
+		return fmt.Errorf("FindEnd = %+v %v, reference %+v %v", gr, gok, wr, wok)
+	}
+	return nil
+}
+
+// rawMessage frames a BGP message with an arbitrary body, so tests can
+// build messages Marshal refuses to produce.
+func rawMessage(typ byte, body []byte) []byte {
+	msg := make([]byte, bgp.HeaderLen, bgp.HeaderLen+len(body))
+	for i := 0; i < 16; i++ {
+		msg[i] = 0xFF
+	}
+	binary.BigEndian.PutUint16(msg[16:18], uint16(bgp.HeaderLen+len(body)))
+	msg[18] = typ
+	return append(msg, body...)
+}
+
+// rawUpdate frames an UPDATE from raw attribute and NLRI sections.
+func rawUpdate(attrs, nlri []byte) []byte {
+	body := binary.BigEndian.AppendUint16([]byte{0, 0}, uint16(len(attrs)))
+	return rawMessage(bgp.TypeUpdate, append(append(body, attrs...), nlri...))
+}
+
+// archiveCases returns records covering every way FromMRT keeps or skips a
+// record; want lists the kept records' indexes.
+func archiveCases(t testing.TB) (records []mrt.Record, want []int) {
+	t.Helper()
+	attrs := &bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: []uint16{1, 2}, NextHop: netip.MustParseAddr("10.0.0.1")}
+	mkRaw := func(m bgp.Message) []byte {
+		raw, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	origin := []byte{0x40, bgp.AttrOrigin, 1, 0}
+	raws := []struct {
+		raw  []byte
+		kept bool
+	}{
+		{mkRaw(&bgp.Update{Attrs: attrs, NLRI: []netip.Prefix{pfx(1), pfx(2)}}), true},
+		{[]byte{0xde, 0xad}, false}, // corrupt
+		{mkRaw(&bgp.Keepalive{}), false},
+		{mkRaw(&bgp.Update{Withdrawn: []netip.Prefix{pfx(1)}}), false},
+		{rawUpdate(nil, []byte{24, 10, 0, 3}), false}, // NLRI without attributes
+		// Host bits past the length: 10.15.0.0/12 on the wire, 10.0.0.0/12
+		// announced.
+		{rawUpdate(origin, []byte{12, 10, 0x0F, 0}), true},
+		{rawUpdate(append([]byte{0x40, bgp.AttrASPath, 4, 3, 1, 0, 1}, origin...), []byte{8, 10}), false}, // bad AS_PATH segment type
+		{mkRaw(&bgp.Update{Attrs: attrs}), false},                                                         // attributes, no NLRI
+		{rawUpdate(origin, []byte{0, 32, 192, 0, 2, 1}), true},                                            // default route and a /32
+		{mkRaw(&bgp.Update{Attrs: attrs, NLRI: []netip.Prefix{pfx(2), pfx(3), pfx(4)}}), true},
+	}
+	for i, r := range raws {
+		records = append(records, mrt.Record{TimeMicros: Micros(10 * (i + 1)), Raw: r.raw})
+		if r.kept {
+			want = append(want, i)
+		}
+	}
+	return records, want
+}
+
+func TestFromMRT(t *testing.T) {
+	records, keep := archiveCases(t)
+	ups := FromMRT(records)
+	if len(ups) != len(keep) {
+		t.Fatalf("updates = %d, want %d", len(ups), len(keep))
+	}
+	for i, k := range keep {
+		if ups[i].Time != records[k].TimeMicros {
+			t.Errorf("update %d time = %d, want record %d's %d", i, ups[i].Time, k, records[k].TimeMicros)
+		}
+	}
+	if want := netip.MustParsePrefix("10.0.0.0/12"); ups[1].Prefixes[0] != want {
+		t.Errorf("host bits kept: %v, want %v", ups[1].Prefixes[0], want)
+	}
+	if err := fromMRTDivergence(records); err != nil {
+		t.Error(err)
+	}
+	if FromMRT(records[1:5]) != nil {
+		t.Error("records announcing nothing gave updates")
+	}
+}
+
+// TestFromMRTPrefixesCapped: the updates share one prefix arena, so each
+// Prefixes view is capped — appending to one must not reach the next.
+func TestFromMRTPrefixesCapped(t *testing.T) {
+	records, _ := archiveCases(t)
+	ups := FromMRT(records)
+	next := slices.Clone(ups[1].Prefixes)
+	ups[0].Prefixes = append(ups[0].Prefixes, pfx(999))
+	if !slices.Equal(ups[1].Prefixes, next) {
+		t.Errorf("appending to update 0 changed update 1: %v, want %v", ups[1].Prefixes, next)
+	}
+}
+
+// fuzzRecords splits data into records: each a signed time step in half
+// seconds (so streams go backwards and cross the quiet gap), a two-byte
+// length and that many message bytes, clamped to what is left.
+func fuzzRecords(data []byte) []mrt.Record {
+	var recs []mrt.Record
+	t := Micros(0)
+	for len(data) >= 3 {
+		t += Micros(int8(data[0])) * 500_000
+		n := min(int(binary.BigEndian.Uint16(data[1:3])), len(data)-3)
+		recs = append(recs, mrt.Record{TimeMicros: t, Raw: data[3 : 3+n]})
+		data = data[3+n:]
+	}
+	return recs
+}
+
+// FuzzFromMRT pins FromMRT to the Parse-based reference on arbitrary
+// records. CI runs it for a short smoke window; run locally with
+//
+//	go test -run='^$' -fuzz=FuzzFromMRT -fuzztime=30s ./internal/mct
+func FuzzFromMRT(f *testing.F) {
+	records, _ := archiveCases(f)
+	var all []byte
+	for _, r := range records {
+		enc := binary.BigEndian.AppendUint16([]byte{1}, uint16(len(r.Raw)))
+		enc = append(enc, r.Raw...)
+		f.Add(enc)
+		all = append(all, enc...)
+	}
+	f.Add(all)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := fromMRTDivergence(fuzzRecords(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -8,10 +8,12 @@ package mrt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/netip"
 
 	"tdat/internal/bgp"
@@ -41,7 +43,8 @@ type Record struct {
 	LocalAS    uint16
 	PeerIP     netip.Addr
 	LocalIP    netip.Addr
-	// Raw is the full BGP message bytes (header included).
+	// Raw is the full BGP message bytes (header included). ReadAll's
+	// records alias the archive buffer it read (see ReadAll).
 	Raw []byte
 }
 
@@ -93,79 +96,131 @@ func (w *Writer) Write(rec Record) error {
 // Flush writes buffered records through to the underlying stream.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader reads MRT records. Records of types other than
-// BGP4MP/BGP4MP_ET + BGP4MP_MESSAGE are skipped.
-type Reader struct {
-	r *bufio.Reader
+// ReadAll reads the whole input once and decodes every BGP4MP/BGP4MP_ET +
+// BGP4MP_MESSAGE record from that one buffer; records of other types or
+// subtypes, and non-IPv4 peers, are skipped. Each Record.Raw aliases the
+// buffer, capped at the message end so an append cannot overwrite the next
+// record — which means any live record keeps the whole archive buffer
+// alive. A truncated or malformed record, or a read error, ends the decode:
+// the records before it are returned together with the error.
+func ReadAll(r io.Reader) ([]Record, error) {
+	// MinRead headroom lets the final read see EOF without growing (and so
+	// copying) an exactly presized buffer.
+	data := make([]byte, 0, sizeHint(r)+bytes.MinRead)
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return decode(data, err)
+		}
+	}
 }
 
-// NewReader creates a Reader.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+// sizeHint is the input size when r can tell it cheaply, else 0.
+func sizeHint(r io.Reader) int {
+	switch v := r.(type) {
+	case interface{ Len() int }: // bytes.Reader, bytes.Buffer, strings.Reader
+		return v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }: // *os.File
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	}
+	return 0
+}
 
-// Next returns the next BGP4MP_MESSAGE record, or io.EOF at a clean end.
-func (r *Reader) Next() (Record, error) {
-	for {
-		var hdr [12]byte
-		if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return Record{}, io.EOF
+const (
+	// headerLen is the MRT common header: timestamp(4) type(2) subtype(2)
+	// length(4).
+	headerLen = 12
+	// maxBodyLen bounds a record body; a longer declared length is taken
+	// as corruption rather than read.
+	maxBodyLen = 1 << 20
+)
+
+// decode decodes the records in data, which ended with readErr (nil at a
+// clean end of input). A record cut short by the end of data fails the way
+// a streaming read of the same input would: with readErr, or with io.EOF /
+// io.ErrUnexpectedEOF when none or part of the needed bytes are present.
+func decode(data []byte, readErr error) ([]Record, error) {
+	shortErr := func(have int) error {
+		switch {
+		case readErr != nil:
+			return readErr
+		case have == 0:
+			return io.EOF
+		}
+		return io.ErrUnexpectedEOF
+	}
+	// Pre-walk the headers to size the result once; the count can only
+	// overestimate (a non-IPv4 record is skipped after its body is seen).
+	count := 0
+	for off := 0; len(data)-off >= headerLen; {
+		typ, sub, length := header(data[off:])
+		if length > maxBodyLen || int(length) > len(data)-off-headerLen {
+			break
+		}
+		if (typ == TypeBGP4MP || typ == TypeBGP4MPET) && sub == SubtypeMessage {
+			count++
+		}
+		off += headerLen + int(length)
+	}
+	out := make([]Record, 0, count)
+	for off := 0; ; {
+		rest := data[off:]
+		if len(rest) < headerLen {
+			if len(rest) == 0 && readErr == nil {
+				return out, nil
 			}
-			return Record{}, fmt.Errorf("%w: header: %v", ErrTruncated, err)
+			return out, fmt.Errorf("%w: header: %v", ErrTruncated, shortErr(len(rest)))
 		}
-		sec := int64(binary.BigEndian.Uint32(hdr[0:4]))
-		typ := binary.BigEndian.Uint16(hdr[4:6])
-		sub := binary.BigEndian.Uint16(hdr[6:8])
-		length := binary.BigEndian.Uint32(hdr[8:12])
-		if length > 1<<20 {
-			return Record{}, fmt.Errorf("%w: implausible length %d", ErrBadRecord, length)
+		typ, sub, length := header(rest)
+		if length > maxBodyLen {
+			return out, fmt.Errorf("%w: implausible length %d", ErrBadRecord, length)
 		}
-		body := make([]byte, length)
-		if _, err := io.ReadFull(r.r, body); err != nil {
-			return Record{}, fmt.Errorf("%w: body: %v", ErrTruncated, err)
+		if have := len(rest) - headerLen; have < int(length) {
+			return out, fmt.Errorf("%w: body: %v", ErrTruncated, shortErr(have))
 		}
+		start, end := off+headerLen, off+headerLen+int(length)
+		off = end
 		isET := typ == TypeBGP4MPET
 		if (typ != TypeBGP4MP && !isET) || sub != SubtypeMessage {
 			continue // skip unknown record types
 		}
-		micros := sec * 1_000_000
+		micros := int64(binary.BigEndian.Uint32(rest[0:4])) * 1_000_000
 		if isET {
-			if len(body) < 4 {
-				return Record{}, fmt.Errorf("%w: ET timestamp", ErrTruncated)
+			if end-start < 4 {
+				return out, fmt.Errorf("%w: ET timestamp", ErrTruncated)
 			}
-			micros += int64(binary.BigEndian.Uint32(body[0:4]))
-			body = body[4:]
+			micros += int64(binary.BigEndian.Uint32(data[start : start+4]))
+			start += 4
 		}
+		body := data[start:end:end]
 		if len(body) < 16 {
-			return Record{}, fmt.Errorf("%w: BGP4MP body %d bytes", ErrTruncated, len(body))
+			return out, fmt.Errorf("%w: BGP4MP body %d bytes", ErrTruncated, len(body))
 		}
-		afi := binary.BigEndian.Uint16(body[6:8])
-		if afi != 1 {
+		if afi := binary.BigEndian.Uint16(body[6:8]); afi != 1 {
 			continue // IPv4 only
 		}
-		rec := Record{
+		out = append(out, Record{
 			TimeMicros: micros,
 			PeerAS:     binary.BigEndian.Uint16(body[0:2]),
 			LocalAS:    binary.BigEndian.Uint16(body[2:4]),
 			PeerIP:     netip.AddrFrom4([4]byte(body[8:12])),
 			LocalIP:    netip.AddrFrom4([4]byte(body[12:16])),
-			Raw:        append([]byte(nil), body[16:]...),
-		}
-		return rec, nil
+			Raw:        body[16:],
+		})
 	}
 }
 
-// ReadAll drains the reader.
-func ReadAll(r io.Reader) ([]Record, error) {
-	rd := NewReader(r)
-	var out []Record
-	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
+// header decodes the type, subtype and body length of the record header at
+// the start of b, which holds at least headerLen bytes.
+func header(b []byte) (typ, sub uint16, length uint32) {
+	return binary.BigEndian.Uint16(b[4:6]), binary.BigEndian.Uint16(b[6:8]), binary.BigEndian.Uint32(b[8:12])
 }

@@ -4,9 +4,10 @@
 # hot path honest:
 #
 #   - allocs/op ceilings are machine-independent and tight: the zero-copy
-#     decode and pcap record loop must stay at 0 allocs/op, and whole-
+#     decode and pcap record loop must stay at 0 allocs/op, whole-
 #     pipeline allocations may not creep back toward the pre-zero-copy
-#     count.
+#     count, and the MRT archive path allocates per archive, not per
+#     record.
 #   - conns/sec minimums and ns/op ceilings are deliberately loose (CI
 #     runners vary severalfold in speed); they catch order-of-magnitude
 #     regressions, not noise.
@@ -23,12 +24,13 @@ floors=$(dirname "$0")/benchfloor.txt
 mkdir -p "$dir"
 raw="$dir/bench.txt"
 
-# Pipeline throughput + shard sweep (root package), then the zero-copy
-# microbenchmarks. -benchtime counts both in iterations-or-seconds; 1s is
-# enough for stable allocs/op, which is what the tight floors gate.
+# Pipeline throughput + shard sweep and the MRT archive path (root
+# package), then the zero-copy microbenchmarks. -benchtime counts both in
+# iterations-or-seconds; 1s is enough for stable allocs/op, which is what
+# the tight floors gate.
 {
 	go test -run '^$' \
-		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkAnalyzeParallelSharded$|BenchmarkFlowExtraction$' \
+		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkAnalyzeParallelSharded$|BenchmarkFlowExtraction$|BenchmarkArchiveEnd$' \
 		-benchmem -benchtime 1s .
 	go test -run '^$' -bench 'BenchmarkDecodeInto$|BenchmarkDecodeReference$' \
 		-benchmem -benchtime 1s ./internal/packet
