@@ -44,16 +44,6 @@ type Config struct {
 	// Reports are byte-identical for every value — only wall-clock time
 	// changes (regression-tested by TestParallelAnalysisByteIdentical).
 	Workers int
-	// Shards partitions the streamed pcap path's connection tracking across
-	// N independent demuxers by a deterministic hash of the canonical
-	// 4-tuple (0 or 1 selects a single demuxer). Every packet of a
-	// connection lands in the same shard, packets are numbered globally
-	// before routing, and merged reports are ordered by each connection's
-	// global first-packet arrival sequence — so output is byte-identical at
-	// any worker×shard count (regression-tested alongside Workers). Sharding
-	// bounds per-demuxer index size on captures with very large connection
-	// counts; note that MaxConnections then caps each shard independently.
-	Shards int
 	// Strict refuses damaged captures: the first degradation event —
 	// undecodable record, pcap-level truncation or corruption, timestamp
 	// regression, resource-cap eviction, BGP framing failure — aborts the
@@ -80,7 +70,7 @@ type Config struct {
 	// factor attribution records the rule that fired, the measurements it
 	// compared, and the contributing intervals (TransferReport.Evidence,
 	// rendered by Report.Explain). Evidence is a pure function of the
-	// connection — byte-identical at any worker×shard count — and never
+	// connection — byte-identical at any worker count — and never
 	// changes analysis output; off keeps the zero-allocation fast path.
 	Explain bool
 }
@@ -266,22 +256,6 @@ func (a *Analyzer) AnalyzeConnection(c *flows.Connection) *TransferReport {
 	return tr
 }
 
-// AnalyzeConnectionWithEnd is AnalyzeConnection with an externally known
-// transfer end (e.g. from a collector's MRT archive via mct.FindEnd),
-// skipping payload reassembly.
-func (a *Analyzer) AnalyzeConnectionWithEnd(c *flows.Connection, end Micros) *TransferReport {
-	tr := &TransferReport{Conn: c}
-	rec := a.recorder()
-	a.generateSeries(tr, rec)
-	start := c.Profile.Start
-	if end <= start {
-		end = start + 1
-	}
-	tr.Transfer = timerange.R(start, end)
-	a.finish(tr, rec)
-	return tr
-}
-
 // AnalyzeConnectionWindow analyzes c over an explicit window — e.g. a churn
 // burst on an established session rather than the initial table transfer.
 func (a *Analyzer) AnalyzeConnectionWindow(c *flows.Connection, window timerange.Range) *TransferReport {
@@ -311,7 +285,13 @@ func (a *Analyzer) AnalyzeConnectionWithUpdates(c *flows.Connection, updates []m
 		end = c.Data[len(c.Data)-1].Time
 	}
 	sp.EndN(0, int64(len(updates)))
-	tr := a.AnalyzeConnectionWithEnd(c, end)
+	// Window falls back to the whole profile on an empty window, so a
+	// degenerate end is clamped to a one-microsecond transfer instead.
+	start := c.Profile.Start
+	if end <= start {
+		end = start + 1
+	}
+	tr := a.AnalyzeConnectionWindow(c, timerange.R(start, end))
 	tr.MCT = res
 	return tr
 }

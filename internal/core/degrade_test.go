@@ -138,7 +138,8 @@ func TestStrictAcceptsCleanTrace(t *testing.T) {
 
 // TestConnectionCapDegrades checks the MaxConnections cap: a flood of
 // distinct tuples stays bounded, evictions are counted, and strict mode
-// refuses the concession.
+// refuses the concession. The cap is one global limit, so the pcap and
+// slice paths evict identically at any worker count.
 func TestConnectionCapDegrades(t *testing.T) {
 	b := traceutil.New()
 	// 8 concurrent connections on distinct ports, none of which ever
@@ -148,13 +149,39 @@ func TestConnectionCapDegrades(t *testing.T) {
 		b.Add(Micros(i)*1_000, ep, traceutil.ReceiverEP, 0, 0, packet.FlagSYN, 65535, 0)
 		b.Add(Micros(i)*1_000+500, ep, traceutil.ReceiverEP, 1, 1, packet.FlagACK, 65535, 100)
 	}
-	cfg := Config{Workers: 1, MaxConnections: 3}
-	rep := New(cfg).AnalyzePackets(b.Pkts)
-	if rep.Degradation.EvictedConnections == 0 {
-		t.Fatal("no evictions under a cap smaller than the live connection count")
+	data, _ := writePcap(t, b.Pkts, 0)
+	var want []byte
+	var wantEvicted int
+	for _, w := range []int{1, 4} {
+		cfg := Config{Workers: w, MaxConnections: 3}
+		fromPkts := New(cfg).AnalyzePackets(b.Pkts)
+		fromPcap, err := New(cfg).AnalyzePcap(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		for path, rep := range map[string]*Report{"packets": fromPkts, "pcap": fromPcap} {
+			if rep.Degradation.EvictedConnections == 0 {
+				t.Fatalf("%s workers=%d: no evictions under a cap smaller than the live connection count", path, w)
+			}
+			if got := len(rep.Transfers); got != 8 {
+				t.Errorf("%s workers=%d: transfers = %d, want all 8 (evicted ones still analyzed)", path, w, got)
+			}
+			out := serializeReport(t, rep)
+			if want == nil {
+				want, wantEvicted = out, rep.Degradation.EvictedConnections
+				continue
+			}
+			if rep.Degradation.EvictedConnections != wantEvicted {
+				t.Errorf("%s workers=%d: evicted = %d, want %d", path, w, rep.Degradation.EvictedConnections, wantEvicted)
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("%s workers=%d: transfers differ from packets workers=1", path, w)
+			}
+		}
 	}
-	if got := len(rep.Transfers); got != 8 {
-		t.Errorf("transfers = %d, want all 8 (evicted ones still analyzed)", got)
+	_, err := New(Config{Workers: 1, MaxConnections: 3, Strict: true}).AnalyzePcap(bytes.NewReader(data))
+	if !errors.Is(err, ErrStrict) {
+		t.Errorf("strict err = %v, want ErrStrict", err)
 	}
 }
 

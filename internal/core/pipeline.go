@@ -75,95 +75,32 @@ func MapOrdered[T, R any](workers int, in []T, fn func(T) R) []R {
 	return out
 }
 
-// AnalyzeEach applies analyze to every connection on the configured worker
-// pool, returning reports in input order. It is the fan-out primitive for
-// callers that bring their own per-connection analysis — e.g. the MRT/
-// Quagga path, which pins each transfer end from a collector archive.
-// Panics propagate; the Report-producing entry points (AnalyzePackets,
-// AnalyzePcapWith) wrap analyze in a recovery guard instead.
-func (a *Analyzer) AnalyzeEach(conns []*flows.Connection, analyze func(*flows.Connection) *TransferReport) []*TransferReport {
-	return MapOrdered(a.workers(), conns, analyze)
-}
-
-// guard wraps per-connection analysis so one connection's panic becomes an
-// AnalysisFailure on the report (and a metrics counter tick) instead of a
-// crashed run. Failures collect under a mutex and are sorted by connection
-// tuple, so reports stay deterministic at any worker count.
-type guard struct {
-	a        *Analyzer
-	mu       sync.Mutex
-	failures []AnalysisFailure
-}
-
-// analyze runs fn(c), recovering a panic into a recorded failure (the
-// returned report is then nil and the merge skips the connection).
-func (g *guard) analyze(fn func(*flows.Connection) *TransferReport, c *flows.Connection) (tr *TransferReport) {
+// guarded runs analyze(c), recovering a panic into an AnalysisFailure (and
+// a metrics counter tick) instead of a crashed run; the report is then nil
+// and the merge skips the connection.
+func (a *Analyzer) guarded(analyze func(*flows.Connection) *TransferReport, c *flows.Connection) (tr *TransferReport, fail *AnalysisFailure) {
 	defer func() {
 		if r := recover(); r != nil {
-			if o := g.a.cfg.Obs; o != nil {
+			if o := a.cfg.Obs; o != nil {
 				o.Reg.Counter("tdat_analysis_panics_total").Inc()
 			}
-			g.mu.Lock()
-			g.failures = append(g.failures, AnalysisFailure{Conn: connLabel(c), Panic: fmt.Sprint(r)})
-			g.mu.Unlock()
-			tr = nil
+			tr, fail = nil, &AnalysisFailure{Conn: connLabel(c), Panic: fmt.Sprint(r)}
 		}
 	}()
-	return fn(c)
+	return analyze(c), nil
 }
 
-// finish sorts and attaches the collected failures.
-func (g *guard) finish(rep *Report) {
-	sort.Slice(g.failures, func(i, j int) bool {
-		if g.failures[i].Conn != g.failures[j].Conn {
-			return g.failures[i].Conn < g.failures[j].Conn
-		}
-		return g.failures[i].Panic < g.failures[j].Panic
-	})
-	rep.Failures = g.failures
-}
-
-// AnalyzePackets analyzes pre-decoded packets, fanning connections out to
-// the configured worker pool and merging reports in extraction order.
-// A connection whose analysis panics is dropped into Report.Failures.
+// AnalyzePackets analyzes pre-decoded packets through the same demux,
+// worker pool and ordered merge as AnalyzePcapWith. Packets are fed in time
+// order (a disordered slice is copied and sorted first), so this path sees
+// no timestamp regressions. Strict mode is not enforced here. A connection
+// whose analysis panics is dropped into Report.Failures.
 func (a *Analyzer) AnalyzePackets(pkts []flows.TimedPacket) *Report {
-	o := a.cfg.Obs
-	conns, ds := flows.ExtractOptsStats(pkts, a.cfg.Flows)
-	if o != nil {
-		o.Reg.Gauge("tdat_pool_workers").Set(int64(a.workers()))
-	}
-	g := &guard{a: a}
-	results := a.AnalyzeEach(conns, func(c *flows.Connection) *TransferReport {
-		if o != nil {
-			o.Progress.ConnStart()
-		}
-		tr := g.analyze(a.AnalyzeConnection, c)
-		if o != nil {
-			o.Progress.ConnDone()
-			o.Reg.Counter("tdat_conns_analyzed_total").Inc()
-		}
-		return tr
+	rep, _ := a.run(false, a.AnalyzeConnection, func(d *flows.Demuxer, _ *Report) error {
+		d.AddAll(pkts)
+		return nil
 	})
-	rep := &Report{}
-	rep.Degradation.fromDemux(ds)
-	sp := a.span(obs.StageMerge)
-	for _, t := range results {
-		if t != nil {
-			rep.Transfers = append(rep.Transfers, t)
-			rep.Degradation.addTransfer(t)
-		}
-	}
-	sp.End()
-	g.finish(rep)
-	if o != nil {
-		rep.Degradation.observe(o.Reg)
-	}
 	return rep
-}
-
-// span opens an unlabeled span (whole-run stages like merge).
-func (a *Analyzer) span(stage obs.Stage) obs.Span {
-	return a.cfg.Obs.StartSpan(stage, "")
 }
 
 // AnalyzePcapWith streams a pcap capture through the full pipeline,
@@ -196,18 +133,92 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 	}
 
 	o := a.cfg.Obs
+	var recordsC, skippedC *obs.Counter
+	if o != nil {
+		recordsC = o.Reg.Counter("tdat_records_read_total")
+		skippedC = o.Reg.Counter("tdat_packets_skipped_total")
+	}
+	return a.run(a.cfg.Strict, analyze, func(d *flows.Demuxer, rep *Report) error {
+		// Zero-copy ingest: one reused record buffer (pcapio.ReadInto) and
+		// one reused packet struct (packet.DecodeInto). The demuxer copies
+		// what it keeps into per-connection columnar storage before Add
+		// returns, so nothing downstream aliases either buffer.
+		var pkt packet.Packet
+		records := 0
+		readErr := pr.EachInto(func(rec pcapio.Record) error {
+			records++
+			// Instrumented ingest: three clock reads per record split the
+			// time between the decode and demux stages.
+			var t0 time.Time
+			if o != nil {
+				recordsC.Inc()
+				o.Progress.AddRecords(1)
+				o.Progress.SetBytesRead(pr.BytesRead())
+				t0 = obs.Now()
+			}
+			err := packet.DecodeInto(rec.Data, &pkt)
+			var t1 time.Time
+			if o != nil {
+				t1 = obs.Now()
+				o.StageObserve(obs.StageDecode, t1.Sub(t0).Microseconds())
+			}
+			if err != nil {
+				if a.cfg.Strict {
+					return fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, records-1, err)
+				}
+				rep.SkippedPackets++
+				skippedC.Inc()
+				return nil
+			}
+			d.Add(flows.TimedPacket{Time: rec.TimeMicros, Pkt: &pkt})
+			if o != nil {
+				o.StageObserve(obs.StageDemux, obs.Since(t1).Microseconds())
+			}
+			return nil
+		})
+		rep.Degradation.UndecodableRecords = rep.SkippedPackets
+		if readErr == nil {
+			return nil
+		}
+		if a.cfg.Strict {
+			if errors.Is(readErr, ErrStrict) {
+				return readErr
+			}
+			return fmt.Errorf("%w: %v", ErrStrict, readErr)
+		}
+		if records == 0 {
+			return fmt.Errorf("core: reading pcap: %w", readErr)
+		}
+		// Lenient path with a readable prefix: the file damage is a
+		// degradation event, located exactly when the pcap layer can.
+		issue := RecordIssue{Index: int64(records), Err: readErr.Error()}
+		var re *pcapio.RecordError
+		if errors.As(readErr, &re) {
+			issue = RecordIssue{Index: re.Index, Offset: re.Offset, Err: re.Err.Error()}
+		}
+		rep.Degradation.RecordErrors = append(rep.Degradation.RecordErrors, issue)
+		return nil
+	})
+}
+
+// run is the one ingest → pool → merge driver. It starts the worker pool,
+// builds one demuxer whose emitted connections go to the pool, and lets
+// feed push the capture into it (feed may also note ingest concessions on
+// the report). After Finish and the pool drain, reports merge in demuxer
+// creation order, failures attach, and the demuxer's tallies fold into the
+// degradation report. An error from feed aborts the run; strict refuses
+// any degradation.
+func (a *Analyzer) run(strict bool, analyze func(*flows.Connection) *TransferReport,
+	feed func(*flows.Demuxer, *Report) error) (*Report, error) {
+	o := a.cfg.Obs
 	nw := a.workers()
 	var (
-		recordsC  *obs.Counter
-		skippedC  *obs.Counter
 		analyzedC *obs.Counter
 		depthG    *obs.Gauge
 		inFlightG *obs.Gauge
 		queueWait *obs.Histogram
 	)
 	if o != nil {
-		recordsC = o.Reg.Counter("tdat_records_read_total")
-		skippedC = o.Reg.Counter("tdat_packets_skipped_total")
 		analyzedC = o.Reg.Counter("tdat_conns_analyzed_total")
 		depthG = o.Reg.Gauge("tdat_pool_queue_depth")
 		inFlightG = o.Reg.Gauge("tdat_conns_in_flight")
@@ -215,24 +226,30 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 		o.Reg.Gauge("tdat_pool_workers").Set(int64(nw))
 	}
 
-	g := &guard{a: a}
 	var (
-		mu      sync.Mutex
-		results = map[int]*TransferReport{}
+		mu       sync.Mutex
+		results  []*TransferReport // by demuxer creation index
+		failures []AnalysisFailure
 	)
 	analyzeOne := func(idx int, c *flows.Connection) {
 		if o != nil {
 			inFlightG.Add(1)
 			o.Progress.ConnStart()
 		}
-		rep := g.analyze(analyze, c)
+		tr, fail := a.guarded(analyze, c)
 		if o != nil {
 			inFlightG.Add(-1)
 			o.Progress.ConnDone()
 			analyzedC.Inc()
 		}
 		mu.Lock()
-		results[idx] = rep
+		for len(results) <= idx {
+			results = append(results, nil)
+		}
+		results[idx] = tr
+		if fail != nil {
+			failures = append(failures, *fail)
+		}
 		mu.Unlock()
 	}
 
@@ -268,171 +285,49 @@ func (a *Analyzer) AnalyzePcapWith(r io.Reader, analyze func(*flows.Connection) 
 			}()
 		}
 	}
-
-	// Demux shards: connections partition across independent demuxers by a
-	// deterministic 4-tuple hash. Packets are numbered globally before
-	// routing and merged reports are keyed by each connection's global
-	// first-packet arrival sequence (which, with one shard, increases
-	// exactly in creation order), so the shard count never changes output.
-	shards := a.cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	fopts := a.cfg.Flows
-	var regressC *obs.Counter
-	if shards > 1 {
-		// The global stream's timestamp regressions are counted here at the
-		// reader — each shard sees only a substream and must not count.
-		fopts.ExternalClock = true
-		if o != nil {
-			regressC = o.Reg.Counter("tdat_demux_ts_regressions_total")
-		}
-	}
-	emit := func(idx int, c *flows.Connection) {
-		if parallel {
-			j := connJob{idx: idx, conn: c}
-			if o != nil {
-				depthG.Add(1)
-				j.enq = obs.Now()
-			}
-			jobs <- j
-		} else {
+	d := flows.NewDemuxer(a.cfg.Flows, func(idx int, c *flows.Connection) {
+		if !parallel {
 			analyzeOne(idx, c)
+			return
 		}
-	}
-	ds := make([]*flows.Demuxer, shards)
-	for i := range ds {
-		ds[i] = flows.NewDemuxer(fopts, func(_ int, c *flows.Connection) {
-			// The merge is keyed by global arrival sequence, not the
-			// shard-local creation index.
-			emit(int(c.ArrivalSeq()), c)
-		})
-	}
+		j := connJob{idx: idx, conn: c}
+		if o != nil {
+			depthG.Add(1)
+			j.enq = obs.Now()
+		}
+		jobs <- j
+	})
 
-	// Zero-copy ingest: one reused record buffer (pcapio.ReadInto) and one
-	// reused packet struct (packet.DecodeInto). The demuxer copies what it
-	// keeps into per-connection columnar storage before Add returns, so
-	// nothing downstream aliases either buffer.
-	var pkt packet.Packet
-	var (
-		seq      int64 // global arrival sequence of decoded packets
-		lastTime Micros
-		regress  int64 // reader-counted regressions (sharded mode)
-	)
-	addPacket := func(tm Micros) {
-		if shards > 1 {
-			if tm < lastTime {
-				regress++
-				if regressC != nil {
-					regressC.Inc()
-				}
-			}
-			lastTime = tm
-		}
-		ds[flows.ShardOf(&pkt, shards)].AddSeq(seq, tm, &pkt)
-		seq++
-	}
-	records, skipped := 0, 0
-	var readErr error
-	if o == nil {
-		readErr = pr.EachInto(func(rec pcapio.Record) error {
-			records++
-			if err := packet.DecodeInto(rec.Data, &pkt); err != nil {
-				if a.cfg.Strict {
-					return fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, records-1, err)
-				}
-				skipped++
-				return nil
-			}
-			addPacket(rec.TimeMicros)
-			return nil
-		})
-	} else {
-		// Instrumented ingest: three clock reads per record split the time
-		// between the decode and demux stages.
-		readErr = pr.EachInto(func(rec pcapio.Record) error {
-			records++
-			recordsC.Inc()
-			o.Progress.AddRecords(1)
-			o.Progress.SetBytesRead(pr.BytesRead())
-			t0 := obs.Now()
-			err := packet.DecodeInto(rec.Data, &pkt)
-			t1 := obs.Now()
-			o.StageObserve(obs.StageDecode, t1.Sub(t0).Microseconds())
-			if err != nil {
-				if a.cfg.Strict {
-					return fmt.Errorf("%w: record %d undecodable: %v", ErrStrict, records-1, err)
-				}
-				skipped++
-				skippedC.Inc()
-				return nil
-			}
-			addPacket(rec.TimeMicros)
-			o.StageObserve(obs.StageDemux, obs.Since(t1).Microseconds())
-			return nil
-		})
-	}
-	for _, d := range ds {
-		d.Finish()
-	}
+	rep := &Report{}
+	err := feed(d, rep)
+	d.Finish()
 	if parallel {
 		close(jobs)
 		wg.Wait()
 	}
-	if readErr != nil {
-		if a.cfg.Strict {
-			if errors.Is(readErr, ErrStrict) {
-				return nil, readErr
-			}
-			return nil, fmt.Errorf("%w: %v", ErrStrict, readErr)
-		}
-		if records == 0 {
-			return nil, fmt.Errorf("core: reading pcap: %w", readErr)
-		}
+	if err != nil {
+		return nil, err
 	}
 
-	var stats flows.DemuxStats
-	for _, d := range ds {
-		s := d.Stats()
-		stats.Packets += s.Packets
-		stats.Opened += s.Opened
-		stats.EarlyEmits += s.EarlyEmits
-		stats.Evicted += s.Evicted
-		stats.Resumed += s.Resumed
-		stats.TimestampRegressions += s.TimestampRegressions
-	}
-	stats.TimestampRegressions += regress // reader-counted (sharded mode only)
-
-	rep := &Report{SkippedPackets: skipped}
-	rep.Degradation.UndecodableRecords = skipped
-	rep.Degradation.fromDemux(stats)
-	if readErr != nil {
-		// Lenient path with a readable prefix: the file damage is a
-		// degradation event, located exactly when the pcap layer can.
-		issue := RecordIssue{Index: int64(records), Err: readErr.Error()}
-		var re *pcapio.RecordError
-		if errors.As(readErr, &re) {
-			issue = RecordIssue{Index: re.Index, Offset: re.Offset, Err: re.Err.Error()}
-		}
-		rep.Degradation.RecordErrors = append(rep.Degradation.RecordErrors, issue)
-	}
-	sp := a.span(obs.StageMerge)
-	// Merge in global arrival order: the map keys are each connection's
-	// first-packet arrival sequence, unique across shards.
-	order := make([]int, 0, len(results))
-	for k := range results {
-		order = append(order, k)
-	}
-	sort.Ints(order)
-	for _, k := range order {
-		if t := results[k]; t != nil {
+	rep.Degradation.fromDemux(d.Stats())
+	sp := o.StartSpan(obs.StageMerge, "")
+	for _, t := range results {
+		if t != nil {
 			rep.Transfers = append(rep.Transfers, t)
 			rep.Degradation.addTransfer(t)
 		}
 	}
 	sp.End()
-	g.finish(rep)
-	if a.cfg.Strict {
+	// Failures arrive in completion order; sorting by connection tuple keeps
+	// reports deterministic at any worker count.
+	sort.Slice(failures, func(i, j int) bool {
+		if failures[i].Conn != failures[j].Conn {
+			return failures[i].Conn < failures[j].Conn
+		}
+		return failures[i].Panic < failures[j].Panic
+	})
+	rep.Failures = failures
+	if strict {
 		if err := rep.Degradation.strictErr(); err != nil {
 			return nil, err
 		}

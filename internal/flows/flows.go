@@ -178,8 +178,8 @@ type Connection struct {
 	// senderISN anchors relative sequence numbers.
 	senderISN   uint32
 	receiverISN uint32
-	// arrival is the global arrival sequence number of the connection's
-	// first packet (see ArrivalSeq).
+	// arrival is the arrival sequence number of the connection's first
+	// packet (see ArrivalSeq).
 	arrival int64
 }
 
@@ -188,12 +188,8 @@ func (c *Connection) Span() timerange.Range {
 	return timerange.Range{Start: c.Profile.Start, End: c.Profile.End + 1}
 }
 
-// ArrivalSeq returns the global arrival sequence number of the connection's
-// first packet — the position of that packet in the full capture stream.
-// Sharded ingest (core.Config.Shards) splits connections across independent
-// demuxers and restores the single-demuxer output order by sorting merged
-// connections on this value: with one shard it increases exactly in
-// creation-index order, so the merge is byte-identical at any shard count.
+// ArrivalSeq returns the arrival sequence number of the connection's first
+// packet — its position in the stream fed to the demuxer (see AddSeq).
 func (c *Connection) ArrivalSeq() int64 { return c.arrival }
 
 // pktTable is the columnar (struct-of-arrays) per-connection packet store.
@@ -334,8 +330,8 @@ type rawConn struct {
 	// never captured — the truncated/no-FIN predecessor case.
 	established bool
 	// idx is the creation index (order of first packet); arrival is the
-	// global arrival sequence of that packet; done marks a connection the
-	// demuxer has already emitted.
+	// arrival sequence of that packet; done marks a connection the demuxer
+	// has already emitted.
 	idx     int
 	arrival int64
 	done    bool
@@ -349,25 +345,9 @@ func Extract(pkts []TimedPacket) []*Connection {
 
 // ExtractOpts is Extract with explicit classification options.
 func ExtractOpts(pkts []TimedPacket, opts Options) []*Connection {
-	conns, _ := ExtractOptsStats(pkts, opts)
-	return conns
-}
-
-// ExtractOptsStats is ExtractOpts exposing the demuxer's degradation
-// statistics (evictions, resumed connections, timestamp regressions)
-// alongside the connections.
-func ExtractOptsStats(pkts []TimedPacket, opts Options) ([]*Connection, DemuxStats) {
-	sorted := pkts
-	if !timeSorted(pkts) {
-		sorted = append([]TimedPacket(nil), pkts...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
-	}
-
 	byIdx := map[int]*Connection{}
 	d := NewDemuxer(opts, func(idx int, c *Connection) { byIdx[idx] = c })
-	for _, tp := range sorted {
-		d.Add(tp)
-	}
+	d.AddAll(pkts)
 	total := d.Finish()
 	out := make([]*Connection, 0, len(byIdx))
 	for i := 0; i < total; i++ {
@@ -375,45 +355,12 @@ func ExtractOptsStats(pkts []TimedPacket, opts Options) ([]*Connection, DemuxSta
 			out = append(out, c)
 		}
 	}
-	return out, d.Stats()
-}
-
-// ShardOf maps a packet to one of n demux shards by a deterministic FNV-1a
-// hash of its canonical connection key, so both directions of a connection
-// (and every analysis run) land on the same shard. n <= 1 always returns 0.
-func ShardOf(pkt *packet.Packet, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	src := Endpoint{Addr: pkt.IP.Src, Port: pkt.TCP.SrcPort}
-	dst := Endpoint{Addr: pkt.IP.Dst, Port: pkt.TCP.DstPort}
-	k := canonicalKey(src, dst)
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(e Endpoint) {
-		a16 := e.Addr.As16()
-		for _, b := range a16 {
-			h = (h ^ uint64(b)) * prime64
-		}
-		h = (h ^ uint64(e.Port&0xFF)) * prime64
-		h = (h ^ uint64(e.Port>>8)) * prime64
-	}
-	mix(k.A)
-	mix(k.B)
-	// FNV-1a's low-order bits avalanche poorly, so structured keys
-	// (consecutive router addresses or ports) collapse onto one residue for
-	// small n. Fold the high bits in before reducing.
-	h ^= h >> 32
-	h ^= h >> 16
-	return int(h % uint64(n))
+	return out
 }
 
 // timeSorted reports whether pkts is already in non-decreasing time order —
-// the common case for real captures, where ExtractOptsStats skips the
-// defensive copy-and-sort entirely.
+// the common case for real captures, where AddAll skips the defensive
+// copy-and-sort entirely.
 func timeSorted(pkts []TimedPacket) bool {
 	for i := 1; i < len(pkts); i++ {
 		if pkts[i].Time < pkts[i-1].Time {
@@ -434,8 +381,8 @@ func timeSorted(pkts []TimedPacket) bool {
 // Packets should be fed in capture order (time order, as a sniffer writes
 // them). Input that turns out to be time-disordered is tolerated: each
 // connection's packets are re-sorted before analysis, though connection
-// grouping then follows arrival order rather than time order —
-// ExtractOpts pre-sorts, so the slice path is unaffected.
+// grouping then follows arrival order rather than time order — AddAll
+// pre-sorts, so the slice paths are unaffected.
 //
 // emit runs in the caller's goroutine (inside Add or Finish) and receives
 // the connection's creation index — the order of its first packet — which
@@ -549,6 +496,20 @@ func (d *Demuxer) evictOldest() {
 	}
 }
 
+// AddAll feeds a whole packet slice in time order. A disordered slice is
+// copied and stably sorted first, so connection grouping follows capture
+// time and no timestamp regression is counted; pkts itself is never
+// reordered.
+func (d *Demuxer) AddAll(pkts []TimedPacket) {
+	if !timeSorted(pkts) {
+		pkts = append([]TimedPacket(nil), pkts...)
+		sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Time < pkts[j].Time })
+	}
+	for _, tp := range pkts {
+		d.Add(tp)
+	}
+}
+
 // Add routes one packet to its connection, emitting any connection the
 // packet proves complete. The packet (and its payload view) is fully copied
 // into per-connection columnar storage before Add returns, so callers may
@@ -558,19 +519,14 @@ func (d *Demuxer) Add(tp TimedPacket) {
 	d.AddSeq(d.stats.Packets, tp.Time, tp.Pkt)
 }
 
-// AddSeq is Add with an explicit global arrival sequence number for the
-// packet. Sharded ingest routes each packet to one of several demuxers but
-// numbers packets globally at the reader, so every connection's ArrivalSeq
-// reflects its position in the whole capture rather than one shard's
-// substream; the unsharded path passes the demuxer's own packet count,
-// which is the same thing.
+// AddSeq is Add with an explicit arrival sequence number for the packet,
+// recorded as the ArrivalSeq of any connection the packet opens. Add passes
+// the demuxer's own packet count.
 func (d *Demuxer) AddSeq(seq int64, tm Micros, pkt *packet.Packet) {
 	if tm < d.lastTime {
 		d.disorder = true
-		if !d.opts.ExternalClock {
-			d.stats.TimestampRegressions++
-			d.regressC.Inc()
-		}
+		d.stats.TimestampRegressions++
+		d.regressC.Inc()
 	}
 	d.lastTime = tm
 	d.packetsC.Inc()

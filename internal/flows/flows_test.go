@@ -2,6 +2,8 @@ package flows
 
 import (
 	"net/netip"
+	"reflect"
+	"sort"
 	"testing"
 
 	"tdat/internal/packet"
@@ -395,7 +397,11 @@ func TestMaxTrackedEvictsOldest(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxTracked = 2
-	conns, stats := ExtractOptsStats(b.pkts, opts)
+	var conns []*Connection
+	d := NewDemuxer(opts, func(_ int, c *Connection) { conns = append(conns, c) })
+	d.AddAll(b.pkts)
+	d.Finish()
+	stats := d.Stats()
 	if len(conns) != 6 {
 		t.Fatalf("extracted %d connections, want 6", len(conns))
 	}
@@ -457,56 +463,21 @@ func TestTimestampRegressionCounted(t *testing.T) {
 	}
 }
 
-func TestShardOfDirectionInvariant(t *testing.T) {
-	// Both directions of a connection must hash to the same shard, or a
-	// sharded demux would split the conversation.
-	b := &builder{}
-	fwd := b.add(1_000_000, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
-	rev := b.add(1_000_100, receiverEP, senderEP, 2000, 1001, packet.FlagSYN|packet.FlagACK, 65535, 0)
-	for _, n := range []int{1, 2, 3, 7, 16} {
-		sf, sr := ShardOf(fwd, n), ShardOf(rev, n)
-		if sf != sr {
-			t.Errorf("n=%d: ShardOf(fwd)=%d ShardOf(rev)=%d, want equal", n, sf, sr)
-		}
-		if sf < 0 || sf >= n {
-			t.Errorf("n=%d: ShardOf out of range: %d", n, sf)
-		}
-	}
-}
-
-func TestShardOfSpreadsConnections(t *testing.T) {
-	// Distinct 4-tuples should not all collapse onto one shard.
-	const n = 4
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		ep := Endpoint{Addr: netip.AddrFrom4([4]byte{10, 2, 0, byte(i + 1)}), Port: 40000 + uint16(i)}
-		b := &builder{}
-		p := b.add(1_000_000, ep, receiverEP, 1, 0, packet.FlagSYN, 65535, 0)
-		seen[ShardOf(p, n)] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("64 distinct connections landed on %d of %d shards", len(seen), n)
-	}
-}
-
-func TestExternalClockSkipsRegressionCount(t *testing.T) {
-	// With ExternalClock the reader owns regression accounting: a shard's
-	// substream has gaps, so its local comparisons would overcount. The
-	// demuxer must still flag per-connection disorder so analysis re-sorts.
-	opts := DefaultOptions()
-	opts.ExternalClock = true
+func TestTimestampRegressionResorts(t *testing.T) {
+	// A regression inside one connection is counted and the connection's
+	// packets are re-sorted before analysis.
 	var got *Connection
-	d := NewDemuxer(opts, func(_ int, c *Connection) { got = c })
+	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { got = c })
 	b := &builder{}
 	b.handshake(1_000_000, 20_000, 1000, 5000, 1460)
 	b.add(1_200_000, senderEP, receiverEP, 1001, 5001, packet.FlagACK, 65535, 100)
 	b.add(1_100_000, senderEP, receiverEP, 1101, 5001, packet.FlagACK, 65535, 100) // regresses
-	for i, tp := range b.pkts {
-		d.AddSeq(int64(i), tp.Time, tp.Pkt)
+	for _, tp := range b.pkts {
+		d.Add(tp)
 	}
 	d.Finish()
-	if s := d.Stats(); s.TimestampRegressions != 0 {
-		t.Errorf("TimestampRegressions = %d, want 0 under ExternalClock", s.TimestampRegressions)
+	if s := d.Stats(); s.TimestampRegressions != 1 {
+		t.Errorf("TimestampRegressions = %d, want 1", s.TimestampRegressions)
 	}
 	if got == nil {
 		t.Fatal("connection not completed")
@@ -519,9 +490,38 @@ func TestExternalClockSkipsRegressionCount(t *testing.T) {
 	}
 }
 
+func TestAddAllSortsDisorderedSlice(t *testing.T) {
+	// AddAll feeds a disordered slice in time order: no regression is
+	// counted, the caller's slice keeps its order, and the connection is
+	// the one the sorted slice gives.
+	b := &builder{}
+	b.handshake(1_000_000, 20_000, 1000, 5000, 1460)
+	b.add(1_200_000, senderEP, receiverEP, 1001, 5001, packet.FlagACK, 65535, 100)
+	b.add(1_100_000, senderEP, receiverEP, 1101, 5001, packet.FlagACK, 65535, 100)
+	disordered := append([]TimedPacket(nil), b.pkts...)
+	var got []*Connection
+	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { got = append(got, c) })
+	d.AddAll(disordered)
+	d.Finish()
+	if s := d.Stats(); s.TimestampRegressions != 0 {
+		t.Errorf("TimestampRegressions = %d, want 0", s.TimestampRegressions)
+	}
+	for i := range disordered {
+		if disordered[i] != b.pkts[i] {
+			t.Fatalf("AddAll reordered the caller's slice at %d", i)
+		}
+	}
+	sorted := append([]TimedPacket(nil), b.pkts...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
+	want := Extract(sorted)
+	if len(got) != 1 || len(want) != 1 || !reflect.DeepEqual(got[0], want[0]) {
+		t.Errorf("AddAll connection differs from the sorted slice's")
+	}
+}
+
 func TestArrivalSeqReflectsFirstPacket(t *testing.T) {
-	// ArrivalSeq carries the global sequence number of a connection's first
-	// packet — the key the sharded merge sorts on.
+	// ArrivalSeq carries the sequence number AddSeq gave a connection's
+	// first packet, for callers that number packets themselves.
 	other := Endpoint{Addr: netip.MustParseAddr("10.9.9.9"), Port: 33000}
 	var conns []*Connection
 	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { conns = append(conns, c) })
@@ -529,7 +529,7 @@ func TestArrivalSeqReflectsFirstPacket(t *testing.T) {
 	b.add(1_000_000, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
 	b.add(1_000_500, other, receiverEP, 7000, 0, packet.FlagSYN, 65535, 0)
 	b.add(1_001_000, senderEP, receiverEP, 1001, 1, packet.FlagACK, 65535, 100)
-	// Hand out sparse sequence numbers, as a shard substream would see.
+	// Sparse sequence numbers: the caller's, not the demuxer's own count.
 	seqs := []int64{10, 25, 11}
 	for i, tp := range b.pkts {
 		d.AddSeq(seqs[i], tp.Time, tp.Pkt)

@@ -315,7 +315,7 @@ func TestKeySetGrowsToCapacity(t *testing.T) {
 func refFromMRT(records []mrt.Record) []Update {
 	var out []Update
 	for _, r := range records {
-		m, err := r.Message()
+		m, err := bgp.Parse(r.Raw)
 		if err != nil {
 			continue
 		}

@@ -15,8 +15,6 @@ import (
 	"io"
 	"io/fs"
 	"net/netip"
-
-	"tdat/internal/bgp"
 )
 
 // MRT type and subtype codes (RFC 6396).
@@ -47,9 +45,6 @@ type Record struct {
 	// records alias the archive buffer it read (see ReadAll).
 	Raw []byte
 }
-
-// Message parses the wrapped BGP message.
-func (r *Record) Message() (bgp.Message, error) { return bgp.Parse(r.Raw) }
 
 // Writer appends MRT records to a stream using BGP4MP_ET (microsecond)
 // framing.

@@ -78,7 +78,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestRecordMessage(t *testing.T) {
 	rec := sampleRecord(t, 1_000_000)
-	m, err := rec.Message()
+	m, err := bgp.Parse(rec.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,8 +187,8 @@ func linearize(c *flows.Connection, maxBytes int64, decode func(res *Result, str
 		return res, nil
 	}
 	contig := int64(0)
-	if covered.Len() > 0 && covered.At(0).Start == 0 {
-		contig = covered.At(0).End
+	if r, ok := covered.CoveringRange(0); ok {
+		contig = r.End
 	}
 	res.StreamBytes = contig
 	res.MissingRanges = covered.Complement(timerange.R(0, limit)).Ranges()
@@ -228,14 +228,16 @@ func linearize(c *flows.Connection, maxBytes int64, decode func(res *Result, str
 	stream := *streamBuf
 	spans := make([]span, 0, len(segs))
 	for _, s := range segs {
-		if s.off >= contig {
+		start, end := s.off, s.off+int64(len(s.data))
+		if start >= contig || end <= 0 {
 			continue
 		}
-		end := s.off + int64(len(s.data))
-		if end > contig {
-			end = contig
-		}
-		copy(stream[s.off:end], s.data[:end-s.off])
+		// Sequence numbers before ISN+1 (a damaged capture, or a mid-stream
+		// one anchored after the segment was first sent) precede the
+		// stream's first byte: only the segment's tail belongs to it.
+		start = max(start, 0)
+		end = min(end, contig)
+		copy(stream[start:end], s.data[start-s.off:end-s.off])
 		spans = append(spans, span{end: end, time: s.time})
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].end < spans[j].end })

@@ -195,6 +195,34 @@ func TestReassembleGarbageStream(t *testing.T) {
 	}
 }
 
+func TestReassembleSegmentBeforeStreamStart(t *testing.T) {
+	// A mid-stream capture anchors the stream on its first data packet, so
+	// a later retransmission of earlier bytes carries a negative offset.
+	// Only its tail belongs to the stream; the bytes before offset 0 are
+	// dropped rather than indexing out of the buffer.
+	stream := bgpStream(t, 20)
+	pkts := packetsFor(stream, 700, func(i int) flows.Micros { return flows.Micros(i) * 1000 })
+	early := *pkts[0].Pkt
+	early.TCP.Seq -= 40
+	early.Payload = append(make([]byte, 40), stream[:100]...)
+	pkts = append(pkts, flows.TimedPacket{Time: flows.Micros(len(pkts)) * 1000, Pkt: &early})
+	c := extractOne(t, pkts)
+	if c.Data[len(c.Data)-1].Seq >= 0 {
+		t.Fatalf("retransmission offset = %d, want negative", c.Data[len(c.Data)-1].Seq)
+	}
+	res, err := Reassemble(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StreamBytes != int64(len(stream)) || len(res.Messages) != 22 {
+		t.Errorf("stream bytes = %d, messages = %d; want %d, 22", res.StreamBytes, len(res.Messages), len(stream))
+	}
+	res, msgs, err := WalkUpdates(c, 0, func(flows.Micros, []byte) {})
+	if err != nil || msgs != 22 || res.StreamBytes != int64(len(stream)) {
+		t.Errorf("walk: msgs = %d, stream bytes = %d, err = %v", msgs, res.StreamBytes, err)
+	}
+}
+
 func TestReassembleLimitedTruncates(t *testing.T) {
 	// A byte cap below the stream size: decoding covers only the capped
 	// prefix and the excess is reported, not silently dropped.

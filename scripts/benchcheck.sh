@@ -24,13 +24,12 @@ floors=$(dirname "$0")/benchfloor.txt
 mkdir -p "$dir"
 raw="$dir/bench.txt"
 
-# Pipeline throughput + shard sweep and the MRT archive path (root
-# package), then the zero-copy microbenchmarks. -benchtime counts both in
+# Pipeline throughput and the MRT archive path (root package), then the zero-copy microbenchmarks. -benchtime counts both in
 # iterations-or-seconds; 1s is enough for stable allocs/op, which is what
 # the tight floors gate.
 {
 	go test -run '^$' \
-		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkAnalyzeParallelSharded$|BenchmarkFlowExtraction$|BenchmarkArchiveEnd$' \
+		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkFlowExtraction$|BenchmarkArchiveEnd$' \
 		-benchmem -benchtime 1s .
 	go test -run '^$' -bench 'BenchmarkDecodeInto$|BenchmarkDecodeReference$' \
 		-benchmem -benchtime 1s ./internal/packet
