@@ -484,8 +484,6 @@ func BenchmarkAblationConsecLossThreshold(b *testing.B) {
 			total := 0
 			for _, ds := range s.Datasets {
 				for _, t := range ds.Transfers {
-					cfg := core.Config{ConsecutiveLossThreshold: th}
-					_ = cfg
 					if t.Report.ConsecLoss.MaxRun >= th {
 						total++
 					}

@@ -6,54 +6,57 @@
 //
 // Usage:
 //
-//	pcap2bgp [-o out.mrt] [-v] [-online] trace.pcap
+//	pcap2bgp [-o out.mrt] [-v] trace.pcap
 //
-// With -online the trace is processed in a single pass with the streaming
-// reassembler (per-direction state only), the mode a collector box would
-// run live; the default mode reassembles per extracted connection.
+// Each extracted connection is reassembled on its own, and the BGP
+// messages the sender's stream carries are written as MRT records with the
+// sender as peer, stamped with the arrival time of the packet completing
+// each message.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
-	"net/netip"
 	"os"
-	"sort"
 
 	"tdat/internal/bgp"
 	"tdat/internal/flows"
 	"tdat/internal/mrt"
 	"tdat/internal/obs"
-	"tdat/internal/packet"
 	"tdat/internal/pcapio"
 	"tdat/internal/reassembly"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is main with its dependencies injected — the golden end-to-end test
+// drives it in-process with a buffer for stdout.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pcap2bgp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out      = flag.String("o", "", "output MRT file (default: stdout summary only)")
-		verbose  = flag.Bool("v", false, "print per-message details")
-		online   = flag.Bool("online", false, "single-pass streaming mode")
-		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
+		out      = fs.String("o", "", "output MRT file (default: stdout summary only)")
+		verbose  = fs.Bool("v", false, "print per-message details")
+		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	)
-	flag.Parse()
-	if err := obs.InitLogging(os.Stderr, *logLevel); err != nil {
-		fmt.Fprintf(os.Stderr, "pcap2bgp: %v\n", err)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: pcap2bgp [flags] trace.pcap")
-		flag.PrintDefaults()
+	if err := obs.InitLogging(stderr, *logLevel); err != nil {
+		fmt.Fprintf(stderr, "pcap2bgp: %v\n", err)
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: pcap2bgp [flags] trace.pcap")
+		fs.PrintDefaults()
 		return 2
 	}
 
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		slog.Error("opening trace", "err", err)
 		return 1
@@ -68,18 +71,17 @@ func run() int {
 		slog.Warn("trace truncated (tcpdump drop?)", "records", len(recs), "err", err)
 	}
 
-	if *online {
-		return runOnline(recs, *out, *verbose)
-	}
-
 	conns, skipped := flows.FromPcap(recs)
 	if skipped > 0 {
 		slog.Warn("undecodable packets skipped", "count", skipped)
 	}
 
-	var mw *mrt.Writer
+	var (
+		of *os.File
+		mw *mrt.Writer
+	)
 	if *out != "" {
-		of, err := os.Create(*out)
+		of, err = os.Create(*out)
 		if err != nil {
 			slog.Error("creating output", "err", err)
 			return 1
@@ -91,7 +93,7 @@ func run() int {
 	for ci, c := range conns {
 		res, err := reassembly.Reassemble(c)
 		if err != nil {
-			fmt.Printf("connection %d (%s -> %s): framing error: %v\n", ci, c.Sender, c.Receiver, err)
+			fmt.Fprintf(stdout, "connection %d (%s -> %s): framing error: %v\n", ci, c.Sender, c.Receiver, err)
 			continue
 		}
 		updates, prefixes := 0, 0
@@ -101,7 +103,7 @@ func run() int {
 				prefixes += len(u.NLRI)
 			}
 			if *verbose {
-				fmt.Printf("  %12d %T\n", m.Time, m.Msg)
+				fmt.Fprintf(stdout, "  %12d %T\n", m.Time, m.Msg)
 			}
 			if mw != nil {
 				rec := mrt.Record{
@@ -116,7 +118,7 @@ func run() int {
 				}
 			}
 		}
-		fmt.Printf("connection %d (%s -> %s): %d bytes, %d messages (%d updates, %d prefixes), %d capture holes\n",
+		fmt.Fprintf(stdout, "connection %d (%s -> %s): %d bytes, %d messages (%d updates, %d prefixes), %d capture holes\n",
 			ci, c.Sender, c.Receiver, res.StreamBytes, len(res.Messages), updates, prefixes, len(res.MissingRanges))
 	}
 	if mw != nil {
@@ -124,116 +126,8 @@ func run() int {
 			slog.Error("writing MRT", "err", err)
 			return 1
 		}
-	}
-	return 0
-}
-
-// dirKey identifies one direction of one connection.
-type dirKey struct {
-	src, dst     [4]byte
-	sport, dport uint16
-}
-
-// runOnline processes the records in one pass with per-direction streaming
-// reassemblers.
-func runOnline(recs []pcapio.Record, out string, verbose bool) int {
-	var mw *mrt.Writer
-	if out != "" {
-		of, err := os.Create(out)
-		if err != nil {
-			slog.Error("creating output", "err", err)
-			return 1
-		}
-		defer of.Close()
-		mw = mrt.NewWriter(of)
-	}
-	type dirState struct {
-		stream   *reassembly.Stream
-		messages int
-		updates  int
-		prefixes int
-		dead     bool
-	}
-	streams := map[dirKey]*dirState{}
-	skipped := 0
-	for _, rec := range recs {
-		p, err := packet.Decode(rec.Data)
-		if err != nil {
-			skipped++
-			continue
-		}
-		k := dirKey{
-			src: p.IP.Src.As4(), dst: p.IP.Dst.As4(),
-			sport: p.TCP.SrcPort, dport: p.TCP.DstPort,
-		}
-		st, ok := streams[k]
-		if !ok {
-			st = &dirState{}
-			src, dst := p.IP.Src, p.IP.Dst
-			st.stream = reassembly.NewStream(func(m reassembly.Message) {
-				st.messages++
-				if u, okU := m.Msg.(*bgp.Update); okU {
-					st.updates++
-					st.prefixes += len(u.NLRI)
-				}
-				if verbose {
-					fmt.Printf("  %12d %s->%s %T\n", m.Time, src, dst, m.Msg)
-				}
-				if mw != nil {
-					_ = mw.Write(mrt.Record{
-						TimeMicros: m.Time, PeerIP: src, LocalIP: dst, Raw: m.Raw,
-					})
-				}
-			})
-			streams[k] = st
-		}
-		if st.dead {
-			continue
-		}
-		if err := st.stream.Packet(rec.TimeMicros, p); err != nil {
-			fmt.Printf("direction %v:%d -> %v:%d: %v (direction abandoned)\n",
-				p.IP.Src, p.TCP.SrcPort, p.IP.Dst, p.TCP.DstPort, err)
-			st.dead = true
-		}
-	}
-	if skipped > 0 {
-		slog.Warn("undecodable packets skipped", "count", skipped)
-	}
-	total := 0
-	// Report in a fixed direction order, not map order, so repeated runs
-	// over one capture emit byte-identical summaries.
-	keys := make([]dirKey, 0, len(streams))
-	for k := range streams {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.src != b.src {
-			return bytes.Compare(a.src[:], b.src[:]) < 0
-		}
-		if a.dst != b.dst {
-			return bytes.Compare(a.dst[:], b.dst[:]) < 0
-		}
-		if a.sport != b.sport {
-			return a.sport < b.sport
-		}
-		return a.dport < b.dport
-	})
-	for _, k := range keys {
-		st := streams[k]
-		if st.messages == 0 {
-			continue
-		}
-		src := netip.AddrFrom4(k.src)
-		dst := netip.AddrFrom4(k.dst)
-		fmt.Printf("%v:%d -> %v:%d: %d messages (%d updates, %d prefixes)\n",
-			src, k.sport, dst, k.dport, st.messages, st.updates, st.prefixes)
-		total += st.messages
-	}
-	fmt.Printf("online mode: %d messages total\n", total)
-	if mw != nil {
-		if err := mw.Flush(); err != nil {
-			slog.Error("writing MRT", "err", err)
+		if err := of.Close(); err != nil {
+			slog.Error("closing output", "err", err)
 			return 1
 		}
 	}

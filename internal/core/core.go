@@ -30,15 +30,8 @@ type Config struct {
 	// Series tunes event-series generation (including sniffer location and
 	// ACK shifting).
 	Series series.Config
-	// MCT tunes transfer-end estimation.
-	MCT mct.Config
 	// MajorThreshold is the major-factor-group cutoff (default 0.3).
 	MajorThreshold float64
-	// TimerMinJump is the knee sharpness guard for timer inference
-	// (default 3).
-	TimerMinJump float64
-	// ConsecutiveLossThreshold is the burst-loss rule (default 8).
-	ConsecutiveLossThreshold int
 	// Workers sizes the per-connection analysis pool. 0 means
 	// runtime.GOMAXPROCS(0); 1 preserves strictly sequential analysis.
 	// Reports are byte-identical for every value — only wall-clock time
@@ -52,11 +45,6 @@ type Config struct {
 	// Report.Degradation. Enforced by the ingest entry points (AnalyzePcap,
 	// AnalyzePcapWith).
 	Strict bool
-	// MaxConnections caps simultaneously tracked (un-emitted) connections
-	// in the demuxer; when full, the oldest open connection is
-	// force-completed (see flows.Options.MaxTracked). 0 means unlimited —
-	// the default, which keeps clean-trace output byte-identical.
-	MaxConnections int
 	// MaxReassemblyBytes caps the per-connection reassembled stream
 	// materialized for transfer-end estimation, so a corrupt-sequence
 	// capture cannot demand gigabytes. 0 means unlimited.
@@ -85,9 +73,6 @@ type Analyzer struct {
 func New(cfg Config) *Analyzer {
 	cfg.Flows.Obs = cfg.Obs
 	cfg.Series.Obs = cfg.Obs
-	if cfg.MaxConnections > 0 {
-		cfg.Flows.MaxTracked = cfg.MaxConnections
-	}
 	return &Analyzer{cfg: cfg}
 }
 
@@ -217,10 +202,10 @@ func (a *Analyzer) finish(tr *TransferReport, rec *explain.Recorder) {
 	}
 
 	sp = a.connSpan(obs.StageDetect, tr.Conn)
-	if res, ok := detect.TimerGapsEv(tr.Catalog, tr.Transfer, a.cfg.TimerMinJump, rec); ok {
+	if res, ok := detect.TimerGapsEv(tr.Catalog, tr.Transfer, 0, rec); ok {
 		tr.Timer = &res
 	}
-	tr.ConsecLoss = detect.ConsecutiveLossesEv(tr.Catalog, tr.Transfer, a.cfg.ConsecutiveLossThreshold, rec)
+	tr.ConsecLoss = detect.ConsecutiveLossesEv(tr.Catalog, tr.Transfer, 0, rec)
 	_, tr.ZeroAckBug = detect.ZeroAckBugEv(tr.Catalog, rec)
 	sp.End()
 	if o != nil {
@@ -278,7 +263,7 @@ func (a *Analyzer) AnalyzeConnectionWithUpdates(c *flows.Connection, updates []m
 	sp := a.connSpan(obs.StageMCT, c)
 	end := c.Profile.End
 	var res *mct.Result
-	if r, ok := mct.FindEnd(updates, a.cfg.MCT); ok {
+	if r, ok := mct.FindEnd(updates, mct.Config{}); ok {
 		res = &r
 		end = r.End
 	} else if len(c.Data) > 0 {
@@ -323,5 +308,5 @@ func (a *Analyzer) reassembleEnd(c *flows.Connection, tr *TransferReport) (mct.R
 		return mct.Result{}, false
 	}
 	tr.Messages = msgs
-	return f.End(a.cfg.MCT)
+	return f.End(mct.Config{})
 }

@@ -136,7 +136,7 @@ func TestStrictAcceptsCleanTrace(t *testing.T) {
 	}
 }
 
-// TestConnectionCapDegrades checks the MaxConnections cap: a flood of
+// TestConnectionCapDegrades checks the Flows.MaxTracked cap: a flood of
 // distinct tuples stays bounded, evictions are counted, and strict mode
 // refuses the concession. The cap is one global limit, so the pcap and
 // slice paths evict identically at any worker count.
@@ -153,7 +153,7 @@ func TestConnectionCapDegrades(t *testing.T) {
 	var want []byte
 	var wantEvicted int
 	for _, w := range []int{1, 4} {
-		cfg := Config{Workers: w, MaxConnections: 3}
+		cfg := Config{Workers: w, Flows: flows.Options{MaxTracked: 3}}
 		fromPkts := New(cfg).AnalyzePackets(b.Pkts)
 		fromPcap, err := New(cfg).AnalyzePcap(bytes.NewReader(data))
 		if err != nil {
@@ -179,7 +179,7 @@ func TestConnectionCapDegrades(t *testing.T) {
 			}
 		}
 	}
-	_, err := New(Config{Workers: 1, MaxConnections: 3, Strict: true}).AnalyzePcap(bytes.NewReader(data))
+	_, err := New(Config{Workers: 1, Flows: flows.Options{MaxTracked: 3}, Strict: true}).AnalyzePcap(bytes.NewReader(data))
 	if !errors.Is(err, ErrStrict) {
 		t.Errorf("strict err = %v, want ErrStrict", err)
 	}

@@ -326,7 +326,7 @@ func TestDemuxerEmitsCompletedConnectionsEarly(t *testing.T) {
 
 	early := 0
 	var got []*flows.Connection
-	d := flows.NewDemuxer(flows.DefaultOptions(), func(idx int, c *flows.Connection) {
+	d := flows.NewDemuxer(flows.Options{}, func(idx int, c *flows.Connection) {
 		got = append(got, c)
 	})
 	for _, tp := range pkts {

@@ -36,7 +36,7 @@ func parsedChainEnd(c *flows.Connection, cfg Config) *TransferReport {
 		times[i], msgs[i] = m.Time, m.Msg
 	}
 	if ups := mct.FromMessages(times, msgs); len(ups) > 0 {
-		if r, ok := mct.FindEnd(ups, cfg.MCT); ok {
+		if r, ok := mct.FindEnd(ups, mct.Config{}); ok {
 			tr.MCT = &r
 		}
 	}

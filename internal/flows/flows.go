@@ -340,7 +340,7 @@ type rawConn struct {
 // Extract groups packets into connections and analyzes each with default
 // options. Connections are returned in order of first packet.
 func Extract(pkts []TimedPacket) []*Connection {
-	return ExtractOpts(pkts, DefaultOptions())
+	return ExtractOpts(pkts, Options{})
 }
 
 // ExtractOpts is Extract with explicit classification options.
@@ -441,7 +441,7 @@ func (s DemuxStats) Degraded() bool {
 // NewDemuxer creates a Demuxer that emits completed connections via emit.
 func NewDemuxer(opts Options, emit func(index int, c *Connection)) *Demuxer {
 	d := &Demuxer{
-		opts:  opts.withDefaults(),
+		opts:  opts,
 		emit:  emit,
 		index: map[Key]*rawConn{},
 	}

@@ -395,8 +395,7 @@ func TestMaxTrackedEvictsOldest(t *testing.T) {
 		b.add(Micros(i)*1_000, ep, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
 		b.add(Micros(i)*1_000+100, ep, receiverEP, 1001, 1, packet.FlagACK, 65535, 200)
 	}
-	opts := DefaultOptions()
-	opts.MaxTracked = 2
+	opts := Options{MaxTracked: 2}
 	var conns []*Connection
 	d := NewDemuxer(opts, func(_ int, c *Connection) { conns = append(conns, c) })
 	d.AddAll(b.pkts)
@@ -418,8 +417,7 @@ func TestEvictedConnectionResumesAsPartial(t *testing.T) {
 	// open a fresh partial connection (and be counted as resumed), not be
 	// appended to the already-emitted one.
 	var emitted []*Connection
-	opts := DefaultOptions()
-	opts.MaxTracked = 1
+	opts := Options{MaxTracked: 1}
 	d := NewDemuxer(opts, func(_ int, c *Connection) { emitted = append(emitted, c) })
 	b := &builder{}
 	b.add(0, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
@@ -449,7 +447,7 @@ func TestEvictedConnectionResumesAsPartial(t *testing.T) {
 func TestTimestampRegressionCounted(t *testing.T) {
 	// A stepped sniffer clock: packet time going backwards within a
 	// connection is tolerated (analysis re-sorts) but tallied.
-	d := NewDemuxer(DefaultOptions(), func(int, *Connection) {})
+	d := NewDemuxer(Options{}, func(int, *Connection) {})
 	b := &builder{}
 	b.add(1_000_000, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
 	b.add(500_000, senderEP, receiverEP, 1001, 1, packet.FlagACK, 65535, 100) // clock stepped back
@@ -467,7 +465,7 @@ func TestTimestampRegressionResorts(t *testing.T) {
 	// A regression inside one connection is counted and the connection's
 	// packets are re-sorted before analysis.
 	var got *Connection
-	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { got = c })
+	d := NewDemuxer(Options{}, func(_ int, c *Connection) { got = c })
 	b := &builder{}
 	b.handshake(1_000_000, 20_000, 1000, 5000, 1460)
 	b.add(1_200_000, senderEP, receiverEP, 1001, 5001, packet.FlagACK, 65535, 100)
@@ -500,7 +498,7 @@ func TestAddAllSortsDisorderedSlice(t *testing.T) {
 	b.add(1_100_000, senderEP, receiverEP, 1101, 5001, packet.FlagACK, 65535, 100)
 	disordered := append([]TimedPacket(nil), b.pkts...)
 	var got []*Connection
-	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { got = append(got, c) })
+	d := NewDemuxer(Options{}, func(_ int, c *Connection) { got = append(got, c) })
 	d.AddAll(disordered)
 	d.Finish()
 	if s := d.Stats(); s.TimestampRegressions != 0 {
@@ -524,7 +522,7 @@ func TestArrivalSeqReflectsFirstPacket(t *testing.T) {
 	// first packet, for callers that number packets themselves.
 	other := Endpoint{Addr: netip.MustParseAddr("10.9.9.9"), Port: 33000}
 	var conns []*Connection
-	d := NewDemuxer(DefaultOptions(), func(_ int, c *Connection) { conns = append(conns, c) })
+	d := NewDemuxer(Options{}, func(_ int, c *Connection) { conns = append(conns, c) })
 	b := &builder{}
 	b.add(1_000_000, senderEP, receiverEP, 1000, 0, packet.FlagSYN, 65535, 0)
 	b.add(1_000_500, other, receiverEP, 7000, 0, packet.FlagSYN, 65535, 0)

@@ -46,6 +46,10 @@ type Result struct {
 	LooksLikeBGP bool
 }
 
+// bgpMarker is the all-ones synchronization marker opening every BGP
+// message header.
+var bgpMarker = bytes.Repeat([]byte{0xFF}, 16)
+
 // span records when the stream bytes up to end first became available.
 type span struct {
 	end  int64

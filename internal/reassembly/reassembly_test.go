@@ -17,7 +17,7 @@ var (
 
 // bgpStream builds a serialized stream of n updates plus a leading OPEN and
 // KEEPALIVE, returning the bytes and the message count.
-func bgpStream(t *testing.T, n int) []byte {
+func bgpStream(t testing.TB, n int) []byte {
 	t.Helper()
 	var stream []byte
 	open := &bgp.Open{AS: 7018, HoldTime: 180, Identifier: netip.MustParseAddr("10.0.0.1")}
