@@ -413,7 +413,7 @@ func BenchmarkAblationMajorThreshold(b *testing.B) {
 		for _, th := range []float64{0.3, 0.4, 0.5} {
 			counts := map[factors.Group]int{}
 			for _, t := range s.Vendor().Transfers {
-				rep := factors.Analyze(t.Report.Catalog, t.Report.Transfer, th)
+				rep := factors.AnalyzeEv(t.Report.Catalog, t.Report.Transfer, th, nil)
 				if !rep.Unknown() {
 					counts[rep.MajorGroups[0]]++
 				}
@@ -425,7 +425,7 @@ func BenchmarkAblationMajorThreshold(b *testing.B) {
 	t0 := s.Vendor().Transfers[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		factors.Analyze(t0.Report.Catalog, t0.Report.Transfer, 0.3)
+		factors.AnalyzeEv(t0.Report.Catalog, t0.Report.Transfer, 0.3, nil)
 	}
 }
 

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,10 +23,10 @@ import (
 	"os"
 
 	"tdat/internal/bgp"
+	"tdat/internal/core"
 	"tdat/internal/flows"
 	"tdat/internal/mrt"
 	"tdat/internal/obs"
-	"tdat/internal/pcapio"
 	"tdat/internal/reassembly"
 )
 
@@ -62,18 +63,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-	recs, err := pcapio.ReadAll(f)
-	if err != nil && len(recs) == 0 {
+	// The analyzer's streaming driver with a pass-through per-connection
+	// func: ingest, demux and ordered merge; reassembly runs below, in
+	// connection order. Its record counter supplies the record total.
+	o := obs.New()
+	rep, err := core.New(core.Config{Obs: o}).AnalyzePcapWith(f, func(c *flows.Connection) *core.TransferReport {
+		return &core.TransferReport{Conn: c}
+	})
+	records := o.Reg.Counter("tdat_records_read_total").Value()
+	if err == nil && records == 0 && len(rep.Degradation.RecordErrors) > 0 {
+		err = errors.New(rep.Degradation.RecordErrors[0].Err) // no readable record at all
+	}
+	if err != nil {
 		slog.Error("reading trace", "err", err)
 		return 1
 	}
-	if err != nil {
-		slog.Warn("trace truncated (tcpdump drop?)", "records", len(recs), "err", err)
+	for _, re := range rep.Degradation.RecordErrors {
+		slog.Warn("trace truncated (tcpdump drop?)", "records", records, "offset", re.Offset, "err", re.Err)
 	}
-
-	conns, skipped := flows.FromPcap(recs)
-	if skipped > 0 {
-		slog.Warn("undecodable packets skipped", "count", skipped)
+	if rep.SkippedPackets > 0 {
+		slog.Warn("undecodable packets skipped", "count", rep.SkippedPackets)
 	}
 
 	var (
@@ -90,7 +99,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mw = mrt.NewWriter(of)
 	}
 
-	for ci, c := range conns {
+	for ci, tr := range rep.Transfers {
+		c := tr.Conn
 		res, err := reassembly.Reassemble(c)
 		if err != nil {
 			fmt.Fprintf(stdout, "connection %d (%s -> %s): framing error: %v\n", ci, c.Sender, c.Receiver, err)

@@ -11,7 +11,6 @@ import (
 	"tdat/internal/flows"
 	"tdat/internal/mct"
 	"tdat/internal/packet"
-	"tdat/internal/pcapio"
 	"tdat/internal/reassembly"
 	"tdat/internal/tracegen"
 )
@@ -87,12 +86,14 @@ func TestTransferEndMatchesParsedChain(t *testing.T) {
 	reset := tracegen.RunWithReset(tracegen.Scenario{Kind: tracegen.KindPaced, Seed: 34, Routes: 3_000}, 400_000)
 	conns = append(conns, flows.Extract(reset.Packets())...)
 	for _, name := range corpusNames {
-		recs, err := pcapio.ReadAll(bytes.NewReader(corpusTrace(t, name)))
-		if err != nil && len(recs) == 0 {
+		rep, err := New(Config{}).AnalyzePcapWith(bytes.NewReader(corpusTrace(t, name)),
+			func(c *flows.Connection) *TransferReport { return &TransferReport{Conn: c} })
+		if err != nil {
 			continue
 		}
-		cs, _ := flows.FromPcap(recs)
-		conns = append(conns, cs...)
+		for _, tr := range rep.Transfers {
+			conns = append(conns, tr.Conn)
+		}
 	}
 	if len(conns) < 20 {
 		t.Fatalf("only %d connections to compare", len(conns))

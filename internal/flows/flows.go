@@ -14,7 +14,6 @@ import (
 
 	"tdat/internal/obs"
 	"tdat/internal/packet"
-	"tdat/internal/pcapio"
 	"tdat/internal/timerange"
 )
 
@@ -340,13 +339,8 @@ type rawConn struct {
 // Extract groups packets into connections and analyzes each with default
 // options. Connections are returned in order of first packet.
 func Extract(pkts []TimedPacket) []*Connection {
-	return ExtractOpts(pkts, Options{})
-}
-
-// ExtractOpts is Extract with explicit classification options.
-func ExtractOpts(pkts []TimedPacket, opts Options) []*Connection {
 	byIdx := map[int]*Connection{}
-	d := NewDemuxer(opts, func(idx int, c *Connection) { byIdx[idx] = c })
+	d := NewDemuxer(Options{}, func(idx int, c *Connection) { byIdx[idx] = c })
 	d.AddAll(pkts)
 	total := d.Finish()
 	out := make([]*Connection, 0, len(byIdx))
@@ -635,22 +629,6 @@ func (d *Demuxer) Finish() int {
 		d.complete(rc)
 	}
 	return len(d.order)
-}
-
-// FromPcap decodes pcap records and extracts connections. Undecodable
-// records are counted and skipped (tcpdump drop artifacts).
-func FromPcap(records []pcapio.Record) ([]*Connection, int) {
-	var pkts []TimedPacket
-	skipped := 0
-	for _, r := range records {
-		p, err := packet.Decode(r.Data)
-		if err != nil {
-			skipped++
-			continue
-		}
-		pkts = append(pkts, TimedPacket{Time: r.TimeMicros, Pkt: p})
-	}
-	return Extract(pkts), skipped
 }
 
 // analyze orients a raw connection and derives events, labels, and profile.

@@ -6,7 +6,7 @@ import (
 )
 
 // TestDecodeNeverPanics drives the decoder with random and mutated frames:
-// whatever tcpdump hands the analyzer, Decode must return an error rather
+// whatever tcpdump hands the analyzer, DecodeInto must return an error rather
 // than crash (trace files in the wild contain every kind of corruption).
 func TestDecodeNeverPanics(t *testing.T) {
 	rnd := rand.New(rand.NewSource(99))
@@ -29,7 +29,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 			frame = good[:rnd.Intn(len(good))]
 		}
 		// The only contract under corruption: no panic.
-		_, _ = Decode(frame)
+		_ = DecodeInto(frame, new(Packet))
 	}
 }
 
@@ -48,10 +48,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(good[:14])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		p, err := Decode(frame)
-		if err == nil && p != nil {
+		var p Packet
+		if err := DecodeInto(frame, &p); err == nil {
 			if again, err := p.Marshal(); err == nil {
-				if _, err := Decode(again); err != nil {
+				if err := DecodeInto(again, new(Packet)); err != nil {
 					t.Errorf("re-marshaled frame failed to decode: %v", err)
 				}
 			}

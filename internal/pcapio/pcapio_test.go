@@ -257,7 +257,8 @@ func TestImplausibleCaptureLengthRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil {
-		t.Error("implausible length accepted")
+	var got Record
+	if err := r.ReadInto(&got); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("implausible length: err = %v, want ErrCorrupt", err)
 	}
 }

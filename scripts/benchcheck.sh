@@ -26,16 +26,21 @@ raw="$dir/bench.txt"
 
 # Pipeline throughput and the MRT archive path (root package), then the zero-copy microbenchmarks. -benchtime counts both in
 # iterations-or-seconds; 1s is enough for stable allocs/op, which is what
-# the tight floors gate.
+# the tight floors gate. The output goes to a file and then to stdout, so a
+# failing go test (a compile error, a panic after its metrics printed) fails
+# the gate: a pipe into tee would lose its status, and POSIX sh has no
+# pipefail.
+status=0
 {
 	go test -run '^$' \
 		-bench 'BenchmarkAnalyzeParallel$|BenchmarkAnalyzeParallelStream$|BenchmarkFlowExtraction$|BenchmarkArchiveEnd$' \
-		-benchmem -benchtime 1s .
+		-benchmem -benchtime 1s . || status=1
 	go test -run '^$' -bench 'BenchmarkDecodeInto$|BenchmarkDecodeReference$' \
-		-benchmem -benchtime 1s ./internal/packet
+		-benchmem -benchtime 1s ./internal/packet || status=1
 	go test -run '^$' -bench 'BenchmarkReadInto$' \
-		-benchmem -benchtime 1s ./internal/pcapio
-} | tee "$raw"
+		-benchmem -benchtime 1s ./internal/pcapio || status=1
+} > "$raw"
+cat "$raw"
 
 # Parse `go test -bench` lines into "name metric value" triples. Benchmark
 # names carry a -<GOMAXPROCS> suffix; strip it so floors are host-agnostic.
@@ -74,6 +79,10 @@ awk '
 } > "$dir/BENCH_speed.json"
 
 fail=0
+if [ "$status" != 0 ]; then
+	echo "FAIL go test exited non-zero (see $raw)" >&2
+	fail=1
+fi
 while read -r bench metric bound floor; do
 	case $bench in ''|\#*) continue ;; esac
 	value=$(awk -v b="$bench" -v m="$metric" '$1 == b && $2 == m { print $3; exit }' "$parsed")

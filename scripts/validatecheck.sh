@@ -26,5 +26,11 @@ full) flags="$flags -stacks all -stack-table $dir/stacktable.md" ;;
 	;;
 esac
 
+# The scorecard goes to a file and then to stdout, so the script exits with
+# cmd/validate's status: a pipe into tee would exit with tee's, and POSIX
+# sh has no pipefail.
+status=0
 # shellcheck disable=SC2086 # flags is a deliberate word list
-go run ./cmd/validate $flags | tee "$dir/scorecard.txt"
+go run ./cmd/validate $flags > "$dir/scorecard.txt" || status=$?
+cat "$dir/scorecard.txt"
+exit "$status"
